@@ -2,7 +2,7 @@
 //! human text rendering and the JSON round-trip used by `rqtool lint
 //! --json`.
 
-use crate::json::{Json, JsonError};
+use rq_metrics::json::{Json, JsonError};
 use std::fmt;
 
 /// How bad a finding is. The derived order puts `Error` first so sorting

@@ -31,14 +31,12 @@
 pub mod cq;
 pub mod datalog;
 pub mod diag;
-pub mod json;
 pub mod normalize;
 pub mod rpq;
 
 pub use cq::lint_uc2rpq;
 pub use datalog::lint_program;
 pub use diag::{Diagnostic, Report, Severity, Span};
-pub use json::Json;
 pub use normalize::{preflight, Preflight, PreflightAction};
 pub use rpq::{lint_two_rpq, lint_two_rpq_with_source};
 

@@ -11,7 +11,6 @@ use std::fmt;
 
 /// Identifier of a base relation name in an [`Alphabet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LabelId(pub u32);
 
 impl LabelId {
@@ -25,7 +24,6 @@ impl LabelId {
 /// An element of Σ±: a relation name, navigated forward (`r`) or backward
 /// (`r⁻`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Letter {
     pub label: LabelId,
     /// `true` for the inverse letter `r⁻`.
@@ -73,10 +71,8 @@ impl Letter {
 /// of the paper): "the edge alphabet Σ can be viewed as the relational
 /// schema of the database".
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Alphabet {
     names: Vec<String>,
-    #[cfg_attr(feature = "serde", serde(skip))]
     index: HashMap<String, LabelId>,
 }
 
@@ -174,16 +170,6 @@ impl Alphabet {
         } else {
             parts.join(".")
         }
-    }
-
-    /// Rebuild the name index (needed after deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), LabelId(i as u32)))
-            .collect();
     }
 }
 

@@ -185,13 +185,6 @@ pub fn equivalent(a1: &Nfa, a2: &Nfa) -> bool {
     check_on_the_fly(a1, a2).contained && check_on_the_fly(a2, a1).contained
 }
 
-/// [`equivalent`] under a resource [`Governor`] (shared across both
-/// directions of the check).
-pub fn equivalent_governed(a1: &Nfa, a2: &Nfa, gov: &Governor) -> Result<bool, Exhaustion> {
-    Ok(check_on_the_fly_governed(a1, a2, gov)?.contained
-        && check_on_the_fly_governed(a2, a1, gov)?.contained)
-}
-
 /// Whether `L(a) = letters*` (universality over the given alphabet).
 pub fn universal(a: &Nfa, letters: &[Letter]) -> ContainmentRun {
     expect_unlimited(universal_governed(a, letters, &Governor::unlimited()))

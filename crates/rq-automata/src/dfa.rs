@@ -21,7 +21,6 @@ pub const DEAD: usize = usize::MAX;
 /// Missing transitions ([`DEAD`]) mean "reject"; call [`Dfa::complete`] to
 /// materialize an explicit sink state instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dfa {
     letters: Vec<Letter>,
     transitions: Vec<Vec<usize>>,
@@ -575,11 +574,6 @@ impl<'a> LazyDeterminizer<'a> {
         };
         self.succ[s].insert(letter, result);
         Ok(result)
-    }
-
-    /// The underlying NFA state set of DFA state `s`.
-    pub fn state_set(&self, s: usize) -> &BTreeSet<State> {
-        &self.sets[s]
     }
 }
 

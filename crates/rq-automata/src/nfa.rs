@@ -9,7 +9,7 @@
 
 use crate::alphabet::Letter;
 use crate::regex::Regex;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// State index within an [`Nfa`].
 pub type State = usize;
@@ -19,7 +19,6 @@ pub type State = usize;
 /// States are dense indices `0..num_states()`. Multiple initial states are
 /// allowed (convenient for unions and subset products).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Nfa {
     transitions: Vec<Vec<(Letter, State)>>,
     epsilon: Vec<Vec<State>>,
@@ -97,11 +96,6 @@ impl Nfa {
     /// Letter transitions out of `s`.
     pub fn transitions_from(&self, s: State) -> &[(Letter, State)] {
         &self.transitions[s]
-    }
-
-    /// ε-transitions out of `s`.
-    pub fn epsilon_from(&self, s: State) -> &[State] {
-        &self.epsilon[s]
     }
 
     /// Whether the automaton has any ε-transitions.
@@ -653,25 +647,6 @@ impl Nfa {
             );
         }
         counts
-    }
-
-    /// All states reachable from the initial set (following ε).
-    pub fn reachable_states(&self) -> HashSet<State> {
-        let mut seen: HashSet<State> = self.initial.iter().copied().collect();
-        let mut stack: Vec<State> = self.initial.iter().copied().collect();
-        while let Some(s) = stack.pop() {
-            for &(_, t) in &self.transitions[s] {
-                if seen.insert(t) {
-                    stack.push(t);
-                }
-            }
-            for &t in &self.epsilon[s] {
-                if seen.insert(t) {
-                    stack.push(t);
-                }
-            }
-        }
-        seen
     }
 }
 

@@ -22,7 +22,6 @@ pub use simplify::simplify;
 /// simplifications (identity/absorbing elements, flattening), or parsed from
 /// text with [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Regex {
     /// The empty language ∅.
     Empty,

@@ -20,7 +20,6 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Head movement of a 2NFA transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Move {
     /// Move the head one cell left (−1).
     Left,
@@ -44,7 +43,6 @@ impl Move {
 
 /// A tape symbol: an input letter or an endmarker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Tape {
     /// The left endmarker ⊢ (cell 0).
     Left,
@@ -56,7 +54,6 @@ pub enum Tape {
 
 /// A two-way NFA with endmarkers.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TwoNfa {
     on_letter: Vec<HashMap<Letter, Vec<(State, Move)>>>,
     on_left: Vec<Vec<(State, Move)>>,

@@ -18,7 +18,6 @@ use std::fmt;
 
 /// An atom `κ(x, y)`: a 2RPQ between two variables (which may coincide).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct C2RpqAtom {
     pub rel: TwoRpq,
     pub from: String,
@@ -38,7 +37,6 @@ impl C2RpqAtom {
 
 /// A conjunctive 2RPQ with distinguished (head) variables.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct C2Rpq {
     /// Distinguished variables, in answer-tuple order.
     pub head: Vec<String>,
@@ -346,7 +344,6 @@ impl fmt::Display for C2Rpq {
 
 /// A union of C2RPQs with equal head arity (the class UC2RPQ).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Uc2Rpq {
     pub disjuncts: Vec<C2Rpq>,
 }

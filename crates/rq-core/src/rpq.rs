@@ -11,14 +11,13 @@
 
 use rq_automata::governor::{expect_unlimited, Exhaustion, Governor};
 use rq_automata::regex::{parse, ParseError};
-use rq_automata::{Alphabet, Letter, Nfa, Regex};
+use rq_automata::{Alphabet, Nfa, Regex};
 use rq_graph::{frontier, GraphDb, NodeId, Semipath};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// A two-way regular path query: a regular expression over Σ±, compiled to
 /// an ε-free NFA.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TwoRpq {
     regex: Regex,
     nfa: Nfa,
@@ -116,50 +115,19 @@ impl TwoRpq {
 
     /// A shortest conforming semipath witnessing `(x, y) ∈ Q(D)`, if any.
     pub fn witness_semipath(&self, db: &GraphDb, x: NodeId, y: NodeId) -> Option<Semipath> {
-        let ns = self.nfa.num_states();
-        let mut pred: Vec<Option<(NodeId, usize, Letter)>> = vec![None; db.num_nodes() * ns];
-        let mut seen = vec![false; db.num_nodes() * ns];
-        let mut queue: VecDeque<(NodeId, usize)> = VecDeque::new();
-        for s in self.nfa.initial_states() {
-            seen[x.index() * ns + s] = true;
-            queue.push_back((x, s));
-        }
-        let mut hit: Option<(NodeId, usize)> = None;
-        'bfs: while let Some((node, state)) = queue.pop_front() {
-            if node == y && self.nfa.is_final(state) {
-                hit = Some((node, state));
-                break 'bfs;
-            }
-            for &(l, t) in self.nfa.transitions_from(state) {
-                for n2 in db.step(node, l) {
-                    let key = n2.index() * ns + t;
-                    if !seen[key] {
-                        seen[key] = true;
-                        pred[key] = Some((node, state, l));
-                        queue.push_back((n2, t));
-                    }
-                }
-            }
-        }
-        let (mut node, mut state) = hit?;
-        let mut nodes = vec![node];
-        let mut word = Vec::new();
-        while let Some((pn, ps, l)) = pred[node.index() * ns + state] {
-            word.push(l);
-            nodes.push(pn);
-            node = pn;
-            state = ps;
-        }
-        nodes.reverse();
-        word.reverse();
-        Some(Semipath::new(nodes, word))
+        expect_unlimited(frontier::witness_governed(
+            db,
+            &self.nfa,
+            x,
+            y,
+            &Governor::unlimited(),
+        ))
     }
 }
 
 /// A (one-way) regular path query: a [`TwoRpq`] restricted to forward
 /// letters.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rpq(TwoRpq);
 
 /// Error building an [`Rpq`].

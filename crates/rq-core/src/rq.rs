@@ -45,7 +45,6 @@ use std::fmt;
 
 /// The RQ algebra over named variables.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RqExpr {
     /// An atomic query `r(from, to)`.
     Edge {
@@ -318,7 +317,6 @@ impl std::error::Error for RqError {}
 
 /// A regular query: an [`RqExpr`] with an ordered output tuple.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RqQuery {
     pub head: Vec<String>,
     pub expr: RqExpr,

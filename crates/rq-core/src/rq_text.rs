@@ -22,7 +22,7 @@
 //! [`parse_rq`] elaborates a program into an [`RqQuery`] bottom-up,
 //! reusing the same instantiation machinery as the GRQ → RQ translation.
 
-use crate::crpq::{C2Rpq, C2RpqAtom, Uc2Rpq};
+use crate::crpq::Uc2Rpq;
 use crate::query_text::{parse_uc2rpq, QueryTextError};
 use crate::rpq::TwoRpq;
 use crate::rq::{RqExpr, RqQuery};
@@ -396,16 +396,6 @@ pub fn parse_rq_or_uc2rpq(
         Ok(u) => Ok(Err(u)),
         Err(QueryTextError { line, message }) => Err(RqTextError { line, message }),
     }
-}
-
-/// Build the UC2RPQ view of a conjunct list (test helper shared with the
-/// benches; re-exported for symmetry with [`parse_uc2rpq`]).
-pub fn uc2rpq_from_conjuncts(disjuncts: Vec<(Vec<String>, Vec<C2RpqAtom>)>) -> Option<Uc2Rpq> {
-    let ds: Option<Vec<C2Rpq>> = disjuncts
-        .into_iter()
-        .map(|(head, atoms)| C2Rpq::new(head, atoms).ok())
-        .collect();
-    Uc2Rpq::new(ds?).ok()
 }
 
 #[cfg(test)]

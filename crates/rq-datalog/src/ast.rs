@@ -11,7 +11,6 @@ use std::fmt;
 
 /// A term: a variable or a constant.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Term {
     /// A variable (Prolog convention: names start with an uppercase letter
     /// or `_` in the concrete syntax).
@@ -41,7 +40,6 @@ impl fmt::Display for Term {
 
 /// An atom `p(t₁, …, tₗ)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Atom {
     pub predicate: String,
     pub terms: Vec<Term>,
@@ -82,7 +80,6 @@ impl fmt::Display for Atom {
 
 /// A Horn rule `head :- body₁, …, bodyₖ.`
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rule {
     pub head: Atom,
     pub body: Vec<Atom>,
@@ -136,7 +133,6 @@ impl fmt::Display for Rule {
 
 /// A Datalog program: a set of rules.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Program {
     pub rules: Vec<Rule>,
 }
@@ -201,7 +197,6 @@ impl fmt::Display for Program {
 ///
 /// `Q(D) = P^∞_Π(D)` for the goal predicate `P` (§2.2).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Query {
     pub program: Program,
     pub goal: String,

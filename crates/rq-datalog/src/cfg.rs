@@ -21,7 +21,6 @@ use std::fmt;
 
 /// A grammar symbol.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Sym {
     /// A terminal (edge label in the chain encoding). Lowercase by
     /// convention.
@@ -32,7 +31,6 @@ pub enum Sym {
 
 /// An ε-free context-free grammar.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Grammar {
     pub start: String,
     pub productions: Vec<(String, Vec<Sym>)>,

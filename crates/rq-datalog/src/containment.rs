@@ -23,7 +23,6 @@ use std::fmt;
 /// range over EDB predicates. Body variables not in the head are
 /// existential.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cq {
     pub head: Atom,
     pub body: Vec<Atom>,
@@ -54,7 +53,6 @@ impl fmt::Display for Cq {
 
 /// A union of conjunctive queries with compatible heads.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ucq {
     pub disjuncts: Vec<Cq>,
 }

@@ -23,7 +23,6 @@ use std::fmt;
 
 /// How the recursive step rule of a TC definition is written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StepShape {
     /// `T(x,z) :- B(x,y), T(y,z)`.
     LeftLinear,
@@ -35,7 +34,6 @@ pub enum StepShape {
 
 /// A recognized transitive-closure definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TcDef {
     /// The recursive predicate (`T`, the paper's `Q⁺`).
     pub tc_pred: String,

@@ -4,20 +4,16 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// An interned constant of the active domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Value(pub u32);
 
 /// A relation: a set of fixed-arity tuples with lazily built per-column
 /// hash indexes (used by the join in [`crate::eval`]).
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Relation {
     arity: usize,
     tuples: Vec<Vec<Value>>,
-    #[cfg_attr(feature = "serde", serde(skip))]
     set: HashSet<Vec<Value>>,
     /// `indexes[col]`: value → row ids. Built on first use of that column.
-    #[cfg_attr(feature = "serde", serde(skip))]
     indexes: Vec<Option<HashMap<Value, Vec<usize>>>>,
 }
 
@@ -107,12 +103,6 @@ impl Relation {
         }
         delta
     }
-
-    /// Rebuild the skipped set after deserialization.
-    pub fn rebuild(&mut self) {
-        self.set = self.tuples.iter().cloned().collect();
-        self.indexes = vec![None; self.arity];
-    }
 }
 
 impl PartialEq for Relation {
@@ -125,10 +115,8 @@ impl Eq for Relation {}
 
 /// A database of facts: named relations over an interned constant domain.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FactDb {
     constants: Vec<String>,
-    #[cfg_attr(feature = "serde", serde(skip))]
     constant_index: HashMap<String, Value>,
     relations: BTreeMap<String, Relation>,
 }
@@ -203,11 +191,6 @@ impl FactDb {
     /// Iterate all `(predicate, relation)` pairs.
     pub fn relations(&self) -> impl Iterator<Item = (&str, &Relation)> {
         self.relations.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Render a tuple with constant names (for tests and examples).
-    pub fn render_tuple(&self, tuple: &[Value]) -> Vec<&str> {
-        tuple.iter().map(|&v| self.value_name(v)).collect()
     }
 
     /// All values of the active domain.

@@ -50,10 +50,6 @@ pub struct CacheConfig {
     pub probe_limits: Limits,
     /// How many most-recently-used entries to probe on a key miss.
     pub probe_candidates: usize,
-    /// Use canonical (minimal-DFA) keys; `false` forces syntactic keys,
-    /// pushing equivalence detection onto the probes (mainly for tests and
-    /// ablation).
-    pub canonical_keys: bool,
 }
 
 impl Default for CacheConfig {
@@ -63,7 +59,6 @@ impl Default for CacheConfig {
             key_limits: Limits::unlimited().with_fuel(10_000),
             probe_limits: Limits::unlimited().with_fuel(20_000),
             probe_candidates: 8,
-            canonical_keys: true,
         }
     }
 }
@@ -187,16 +182,11 @@ impl SemanticCache {
         }
     }
 
-    /// The cache key of `q`: canonical when configured and affordable,
-    /// syntactic otherwise.
+    /// The cache key of `q`: canonical when affordable within
+    /// `key_limits`, syntactic otherwise.
     pub fn key_of(&self, q: &TwoRpq, alphabet: &Alphabet) -> String {
-        if self.config.canonical_keys {
-            let gov = Governor::new(self.config.key_limits.clone());
-            if let Ok(k) = canonical_key_governed(q, alphabet, &gov) {
-                return k;
-            }
-        }
-        syntactic_key(q, alphabet)
+        let gov = Governor::new(self.config.key_limits.clone());
+        canonical_key_governed(q, alphabet, &gov).unwrap_or_else(|_| syntactic_key(q, alphabet))
     }
 
     /// Number of materialized entries.
@@ -502,8 +492,10 @@ mod tests {
     #[test]
     fn syntactic_keys_fall_back_to_probe_equivalence() {
         let (db, mut al) = setup();
+        // A key budget that exhausts at once forces syntactic keys,
+        // pushing equivalence detection onto the probes.
         let mut cache = SemanticCache::new(CacheConfig {
-            canonical_keys: false,
+            key_limits: Limits::unlimited().with_fuel(0),
             ..CacheConfig::default()
         });
         let q1 = TwoRpq::parse("a b | a c", &mut al).unwrap();

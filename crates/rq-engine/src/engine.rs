@@ -221,10 +221,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build an engine over `db`. Indexes are rebuilt here if stale, so a
-    /// freshly deserialized database is safe to serve from.
-    pub fn new(mut db: GraphDb, config: EngineConfig) -> Engine {
-        db.ensure_indexes();
+    /// Build an engine over `db`.
+    pub fn new(db: GraphDb, config: EngineConfig) -> Engine {
         let alphabet = db.alphabet().clone();
         Engine {
             db: RwLock::new(Arc::new(db)),
@@ -373,33 +371,6 @@ impl Engine {
         limits: &Limits,
         cancel: Option<Arc<AtomicBool>>,
     ) -> Result<QueryResult, EngineError> {
-        // Degraded (post-recovery) serving: skip all cache traffic — the
-        // answer still comes from the graph.
-        if self.is_degraded() {
-            let (q_eff, db) = {
-                let mut shared = self.shared();
-                let Shared { alphabet, .. } = &mut *shared;
-                let q_eff = if self.config.preflight {
-                    let p = rq_analyze::preflight(q, alphabet, &self.config.cache.probe_limits);
-                    if p.action == rq_analyze::PreflightAction::Empty {
-                        return Ok(QueryResult {
-                            answer: Arc::new(BTreeSet::new()),
-                            disposition: Disposition::Empty,
-                        });
-                    }
-                    p.query
-                } else {
-                    q.clone()
-                };
-                (q_eff, self.db())
-            };
-            let sources: Vec<NodeId> = db.nodes().collect();
-            let answer = Arc::new(self.eval_sources(&q_eff, &db, sources, limits, cancel)?);
-            return Ok(QueryResult {
-                answer,
-                disposition: Disposition::Miss,
-            });
-        }
         // The database snapshot and the epoch are captured inside the same
         // critical section as the cache lookup: `apply_deltas` mutates
         // graph, epoch, and cache under this very lock, so the triple is
@@ -423,8 +394,15 @@ impl Engine {
             } else {
                 q.clone()
             };
-            let key = cache.key_of(&q_eff, alphabet);
-            let lookup = cache.lookup(&q_eff, &key, alphabet);
+            // Degraded (post-recovery) serving skips all cache traffic:
+            // the answer still comes from the graph.
+            let (key, lookup) = if self.is_degraded() {
+                (None, Lookup::Miss)
+            } else {
+                let key = cache.key_of(&q_eff, alphabet);
+                let lookup = cache.lookup(&q_eff, &key, alphabet);
+                (Some(key), lookup)
+            };
             (key, lookup, q_eff, self.db(), self.epoch())
         };
         let q = &q_eff;
@@ -459,15 +437,17 @@ impl Engine {
                 (answer, Disposition::Miss)
             }
         };
-        let mut shared = self.shared();
-        // The recovery may have happened mid-request (the poison was
-        // observed by this very lock call): don't materialize into a
-        // cache the engine has just stopped trusting. Likewise, if a
-        // delta batch landed while we were evaluating, the answer is for
-        // a superseded graph version — correct to *return* (the query
-        // linearizes at lookup time) but wrong to *cache*.
-        if !self.is_degraded() && self.epoch() == epoch_at_lookup {
-            shared.cache.insert(key, q, Arc::clone(&answer));
+        if let Some(key) = key {
+            let mut shared = self.shared();
+            // The recovery may have happened mid-request (the poison was
+            // observed by this very lock call): don't materialize into a
+            // cache the engine has just stopped trusting. Likewise, if a
+            // delta batch landed while we were evaluating, the answer is
+            // for a superseded graph version — correct to *return* (the
+            // query linearizes at lookup time) but wrong to *cache*.
+            if !self.is_degraded() && self.epoch() == epoch_at_lookup {
+                shared.cache.insert(key, q, Arc::clone(&answer));
+            }
         }
         Ok(QueryResult {
             answer,
@@ -780,11 +760,10 @@ impl Engine {
 
 /// Engine-level metrics: per-query and per-batch latency histograms,
 /// disposition/error counters, and per-worker governor fuel consumption
-/// split by outcome. JSON-lines trace events are no longer emitted here:
-/// the `engine.run` / `engine.batch` spans opened by the serving path
-/// emit them on completion (one schema, one sink — see
-/// `rq_metrics::trace`). The latency histograms observe *traced* so
-/// their exposition buckets carry trace-id exemplars.
+/// split by outcome. Per-request detail lives in the `engine.run` /
+/// `engine.batch` spans opened by the serving path. The latency
+/// histograms observe *traced* so their exposition buckets carry
+/// trace-id exemplars.
 mod metrics {
     use super::{BatchReport, DeltaReport, Disposition, EngineError, QueryResult};
     use rq_metrics::{fuel_buckets, global, latency_buckets_us, Counter, Gauge, Histogram};

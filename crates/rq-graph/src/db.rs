@@ -6,7 +6,6 @@ use std::collections::HashSet;
 
 /// Identifier of an object (node) in a [`GraphDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -30,25 +29,14 @@ impl NodeId {
 /// can be changed simply by updating the database" — labels (and nodes) are
 /// interned on first use.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GraphDb {
     alphabet: Alphabet,
     node_names: Vec<Option<String>>,
-    #[cfg_attr(feature = "serde", serde(skip))]
     node_index: HashMap<String, NodeId>,
     out_edges: Vec<Vec<(LabelId, NodeId)>>,
     in_edges: Vec<Vec<(LabelId, NodeId)>>,
     edges_by_label: Vec<Vec<(NodeId, NodeId)>>,
-    #[cfg_attr(feature = "serde", serde(skip))]
     edge_set: HashSet<(NodeId, LabelId, NodeId)>,
-    /// Whether the skip-serialized indexes (`node_index`, `edge_set`, the
-    /// alphabet's name index) match the serialized columns. Construction
-    /// keeps them in sync; deserialization leaves them empty (the field is
-    /// itself skipped, so a deserialized database starts stale) until
-    /// [`GraphDb::rebuild_indexes`] runs — which mutating entry points do
-    /// automatically via [`GraphDb::ensure_indexes`].
-    #[cfg_attr(feature = "serde", serde(skip))]
-    indexed: bool,
 }
 
 impl Default for GraphDb {
@@ -61,7 +49,6 @@ impl Default for GraphDb {
             in_edges: Vec::new(),
             edges_by_label: Vec::new(),
             edge_set: HashSet::new(),
-            indexed: true,
         }
     }
 }
@@ -83,7 +70,6 @@ impl GraphDb {
 
     /// Intern a named node (idempotent).
     pub fn node(&mut self, name: &str) -> NodeId {
-        self.ensure_indexes();
         if let Some(&id) = self.node_index.get(name) {
             return id;
         }
@@ -106,7 +92,6 @@ impl GraphDb {
 
     /// Intern an edge label (idempotent).
     pub fn label(&mut self, name: &str) -> LabelId {
-        self.ensure_indexes();
         let id = self.alphabet.intern(name);
         while self.edges_by_label.len() < self.alphabet.len() {
             self.edges_by_label.push(Vec::new());
@@ -118,7 +103,6 @@ impl GraphDb {
     /// label denotes a *relation*, i.e., a set of pairs. Returns whether
     /// the edge was new.
     pub fn add_edge(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        self.ensure_indexes();
         assert!(src.index() < self.num_nodes() && dst.index() < self.num_nodes());
         assert!(
             label.index() < self.edges_by_label.len(),
@@ -138,7 +122,6 @@ impl GraphDb {
     /// re-removes an edge (or removes one that never committed) replays
     /// idempotently.
     pub fn remove_edge(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        self.ensure_indexes();
         if !self.edge_set.remove(&(src, label, dst)) {
             return false;
         }
@@ -160,8 +143,8 @@ impl GraphDb {
     /// Build a database directly from its serialized columns: the label
     /// alphabet, the node-name table, and one `(src, dst)` pair list per
     /// label (indexed by `LabelId`). This is the bulk-load path the
-    /// snapshot loader uses: adjacency is assembled in one pass and the
-    /// hash indexes are rebuilt once, instead of per-edge.
+    /// snapshot loader uses: adjacency and the hash indexes are assembled
+    /// in one pass, instead of per-edge.
     ///
     /// Duplicate pairs within a label are collapsed (a label denotes a
     /// relation). Panics if a pair references a node out of range or if
@@ -194,18 +177,20 @@ impl GraphDb {
                 in_edges[d.index()].push((label, s));
             }
         }
-        let mut db = GraphDb {
+        let node_index = node_names
+            .iter()
+            .enumerate()
+            .filter_map(|(i, n)| n.clone().map(|n| (n, NodeId(i as u32))))
+            .collect();
+        GraphDb {
             alphabet,
             node_names,
-            node_index: HashMap::new(),
+            node_index,
             out_edges,
             in_edges,
             edges_by_label,
             edge_set,
-            indexed: false,
-        };
-        db.rebuild_indexes();
-        db
+        }
     }
 
     /// Extend this database's alphabet to match `superset`, which must
@@ -230,7 +215,6 @@ impl GraphDb {
             );
         }
         if superset.len() > self.alphabet.len() {
-            self.ensure_indexes();
             self.alphabet = superset.clone();
             while self.edges_by_label.len() < self.alphabet.len() {
                 self.edges_by_label.push(Vec::new());
@@ -239,16 +223,7 @@ impl GraphDb {
     }
 
     /// Whether the edge `label(src, dst)` is present.
-    ///
-    /// Panics on a database whose indexes are stale (deserialized and not
-    /// yet rebuilt) — a stale `edge_set` would silently answer `false` for
-    /// every edge.
     pub fn has_edge(&self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        assert!(
-            self.indexed,
-            "GraphDb indexes are stale; call rebuild_indexes() (or any \
-             mutating entry point) after deserialization"
-        );
         self.edge_set.contains(&(src, label, dst))
     }
 
@@ -317,51 +292,8 @@ impl GraphDb {
     }
 
     /// Look up a named node.
-    ///
-    /// Panics on a database whose indexes are stale (see
-    /// [`GraphDb::has_edge`]).
     pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        assert!(
-            self.indexed,
-            "GraphDb indexes are stale; call rebuild_indexes() (or any \
-             mutating entry point) after deserialization"
-        );
         self.node_index.get(name).copied()
-    }
-
-    /// Whether the skip-serialized indexes are stale (true only for a
-    /// deserialized database that has not been rebuilt yet).
-    pub fn indexes_stale(&self) -> bool {
-        !self.indexed
-    }
-
-    /// Rebuild the indexes if and only if they are stale — the lazy hook
-    /// every mutating entry point calls, so `add_edge` bursts on a freshly
-    /// deserialized database self-heal instead of corrupting `edge_set`.
-    pub fn ensure_indexes(&mut self) {
-        if !self.indexed {
-            self.rebuild_indexes();
-        }
-    }
-
-    /// Rebuild the skipped indexes after deserialization.
-    pub fn rebuild_indexes(&mut self) {
-        self.indexed = true;
-        self.node_index = self
-            .node_names
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.clone().map(|n| (n, NodeId(i as u32))))
-            .collect();
-        self.edge_set = self
-            .edges_by_label
-            .iter()
-            .enumerate()
-            .flat_map(|(l, v)| v.iter().map(move |&(s, d)| (s, LabelId(l as u32), d)))
-            .collect();
-        let mut alphabet = std::mem::take(&mut self.alphabet);
-        alphabet.rebuild_index();
-        self.alphabet = alphabet;
     }
 
     /// Total degree (in + out) of `node`.
@@ -434,49 +366,6 @@ mod tests {
         assert_eq!(db.node_name(x), None);
         assert_eq!(db.display_node(x), "#0");
         assert_eq!(db.num_edges(), 1);
-    }
-
-    /// Simulate what deserialization produces: full columns, empty
-    /// skip-serialized indexes, stale marker set.
-    fn make_stale(db: &mut GraphDb) {
-        db.indexed = false;
-        db.node_index.clear();
-        db.edge_set.clear();
-    }
-
-    #[test]
-    fn stale_indexes_self_heal_on_mutation() {
-        let (mut db, a, b, _, r, _) = tiny();
-        make_stale(&mut db);
-        assert!(db.indexes_stale());
-        // An add_edge burst on a stale database must rebuild first —
-        // otherwise the empty edge_set would re-admit duplicate edges.
-        assert!(!db.add_edge(a, r, b), "duplicate must still be detected");
-        assert!(!db.indexes_stale());
-        assert_eq!(db.num_edges(), 3);
-        assert!(db.has_edge(a, r, b));
-        assert_eq!(db.find_node("a"), Some(a));
-    }
-
-    #[test]
-    fn stale_indexes_self_heal_on_interning() {
-        let (mut db, a, ..) = tiny();
-        make_stale(&mut db);
-        // node() consults node_index: stale lookup would re-intern "a".
-        assert_eq!(db.node("a"), a);
-        assert_eq!(db.num_nodes(), 3);
-        let (mut db, ..) = tiny();
-        make_stale(&mut db);
-        db.label("r");
-        assert!(!db.indexes_stale());
-    }
-
-    #[test]
-    #[should_panic(expected = "indexes are stale")]
-    fn stale_read_of_edge_set_is_rejected() {
-        let (mut db, a, b, _, r, _) = tiny();
-        make_stale(&mut db);
-        let _ = db.has_edge(a, r, b);
     }
 
     #[test]

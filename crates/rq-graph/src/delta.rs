@@ -26,7 +26,6 @@ use std::fmt;
 
 /// A single edge mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Delta {
     /// Assert `label(src, dst)`.
     AddEdge {

@@ -15,8 +15,9 @@
 //! [`Governor::unlimited`], which never exhausts.
 
 use crate::db::{GraphDb, NodeId};
+use crate::semipath::Semipath;
 use rq_automata::governor::{Exhaustion, Governor};
-use rq_automata::Nfa;
+use rq_automata::{Letter, Nfa};
 use rq_metrics::span;
 use std::collections::{BTreeSet, VecDeque};
 
@@ -66,24 +67,33 @@ impl<'a> ProductBfs<'a> {
         true
     }
 
-    /// Whether the frontier is drained.
-    pub fn is_done(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Pop one product state and expand its successors into the frontier.
     /// Each product-edge expansion spends one fuel unit on `gov`.
     ///
     /// Returns the popped state (check [`Nfa::is_final`] on its automaton
     /// component to harvest answers), or `None` when the search is done.
     pub fn step(&mut self, gov: &Governor) -> Result<Option<ProductState>, Exhaustion> {
+        self.step_reporting(gov, |_, _, _| {})
+    }
+
+    /// [`step`](Self::step), also calling `reached(key, from, letter)` for
+    /// every product state first reached by this expansion, where `key` is
+    /// its dense index. The plain `step` passes a no-op, which the
+    /// optimizer erases.
+    fn step_reporting(
+        &mut self,
+        gov: &Governor,
+        mut reached: impl FnMut(usize, ProductState, Letter),
+    ) -> Result<Option<ProductState>, Exhaustion> {
         let Some((node, state)) = self.queue.pop_front() else {
             return Ok(None);
         };
         for &(l, t) in self.nfa.transitions_from(state) {
             for n2 in self.db.step(node, l) {
                 gov.tick()?;
-                self.push(n2, t);
+                if self.push(n2, t) {
+                    reached(self.key(n2, t), (node, state), l);
+                }
             }
         }
         Ok(Some((node, state)))
@@ -198,6 +208,40 @@ pub fn pair_reachable_governed(
     result
 }
 
+/// A shortest semipath from `source` to `target` conforming to `nfa`, if
+/// `(source, target)` is answered. The same search as
+/// [`pair_reachable_governed`], plus a predecessor per product state —
+/// allocated here only, so the answer-only searches never pay for it.
+pub fn witness_governed(
+    db: &GraphDb,
+    nfa: &Nfa,
+    source: NodeId,
+    target: NodeId,
+    gov: &Governor,
+) -> Result<Option<Semipath>, Exhaustion> {
+    let mut bfs = ProductBfs::new(db, nfa, source);
+    // pred[key]: the product state, and the letter, that first reached `key`.
+    let mut pred: Vec<Option<(ProductState, Letter)>> = vec![None; bfs.seen.len()];
+    let hit = loop {
+        match bfs.step_reporting(gov, |key, from, l| pred[key] = Some((from, l)))? {
+            Some((node, state)) if node == target && nfa.is_final(state) => break (node, state),
+            Some(_) => {}
+            None => return Ok(None),
+        }
+    };
+    let mut nodes = vec![hit.0];
+    let mut word = Vec::new();
+    let mut at = hit;
+    while let Some((from, l)) = pred[bfs.key(at.0, at.1)] {
+        word.push(l);
+        nodes.push(from.0);
+        at = from;
+    }
+    nodes.reverse();
+    word.reverse();
+    Ok(Some(Semipath::new(nodes, word)))
+}
+
 /// The full all-pairs answer (governed, sequential): one product BFS per
 /// source node. The parallel engine runs the same per-source searches
 /// partitioned across its worker pool.
@@ -266,6 +310,22 @@ mod tests {
         let n = nfa("r+", &mut al);
         let pairs = all_pairs_governed(&db, &n, &Governor::unlimited()).unwrap();
         assert_eq!(pairs.len(), 3 + 2 + 1);
+    }
+
+    #[test]
+    fn witness_is_a_shortest_conforming_semipath() {
+        let (db, ns) = chain3();
+        let mut al = db.alphabet().clone();
+        let n = nfa("r+ r- r", &mut al);
+        let gov = Governor::unlimited();
+        let sp = witness_governed(&db, &n, ns[0], ns[2], &gov)
+            .unwrap()
+            .expect("v0 reaches v2");
+        assert!(sp.is_valid_in(&db) && sp.conforms_to(&n));
+        assert_eq!((sp.source(), sp.target(), sp.len()), (ns[0], ns[2], 4));
+        assert_eq!(witness_governed(&db, &n, ns[3], ns[0], &gov).unwrap(), None);
+        let starved = Limits::unlimited().with_fuel(1).governor();
+        assert!(witness_governed(&db, &n, ns[0], ns[3], &starved).is_err());
     }
 
     #[test]

@@ -10,7 +10,6 @@ use rq_automata::{Letter, Nfa};
 
 /// A semipath: interleaved nodes and letters, `nodes.len() == word.len()+1`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Semipath {
     nodes: Vec<NodeId>,
     word: Vec<Letter>,

@@ -1,12 +1,14 @@
 //! A minimal JSON value type with an emitter and a recursive-descent
 //! parser.
 //!
-//! The workspace's vendored `serde` is a marker-trait stub (no derive, no
-//! `serde_json`), so the diagnostic reports hand-roll their JSON here.
-//! The dialect is the full RFC 8259 value grammar minus two liberties we
-//! never need: numbers are emitted from `u64`/`i64` only (diagnostics
-//! carry line/column positions and counts, never floats), and parsing
-//! accepts fractional/exponent forms but folds them through `f64`.
+//! The workspace has no serialization dependency, so every JSON it puts
+//! on the wire — serve bodies, lint reports, finished traces — is built
+//! and escaped here. It sits in rq-metrics, the bottom of the dependency
+//! graph, so every crate can reach it. The dialect is the full RFC 8259
+//! value grammar minus two liberties we never need: numbers are emitted
+//! from `u64`/`i64` only (positions, counts and durations, never floats),
+//! and parsing accepts fractional/exponent forms but folds them through
+//! `f64`.
 
 use std::fmt;
 
@@ -15,7 +17,7 @@ use std::fmt;
 pub enum Json {
     Null,
     Bool(bool),
-    /// Numbers are stored as `f64`; every number the analyzer emits is a
+    /// Numbers are stored as `f64`; every number the workspace emits is a
     /// non-negative integer well inside `f64`'s exact range.
     Num(f64),
     Str(String),

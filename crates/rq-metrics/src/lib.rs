@@ -30,17 +30,11 @@
 //! traces plus a slow/errored retention ring). Histograms carry an
 //! OpenMetrics-style exemplar per bucket linking aggregate latency back
 //! to a recent trace id.
-//!
-//! The optional `trace` cargo feature adds [`trace`]: structured
-//! JSON-lines events for replayable diagnosis. Span completion emits
-//! through the same sink, so spans and events share one schema. Without
-//! the feature every `trace::*` call compiles to a no-op (span capture
-//! itself is feature-independent).
 
+pub mod json;
 pub mod recorder;
 pub mod registry;
 pub mod span;
-pub mod trace;
 
 pub use registry::{global, HistogramSnapshot, MetricSnapshot, Registry, Snapshot, Value};
 

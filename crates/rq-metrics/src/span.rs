@@ -20,11 +20,8 @@
 //!   pool closure calls [`install`] with the parent span's id and its
 //!   spans land in the same trace, correctly parented, even though they
 //!   ran on another thread.
-//!
-//! Span completion also emits a JSON-lines event through [`crate::trace`]
-//! when that sink is active, so the span layer and the `trace` feature
-//! share one schema and one sink (see the `trace` module docs).
 
+use crate::json::Json;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -342,21 +339,6 @@ impl Drop for ActiveSpan {
                 }
             }
         });
-        // One schema, one sink: completion is also the JSON-lines event
-        // (no-op without the `trace` feature or an installed sink).
-        if crate::trace::active() {
-            let mut fields: Vec<(&str, String)> = Vec::with_capacity(inner.fields.len() + 4);
-            fields.push(("trace_id", format_trace_id(inner.ctx.id())));
-            fields.push(("span", inner.id.to_string()));
-            if inner.parent != 0 {
-                fields.push(("parent", inner.parent.to_string()));
-            }
-            fields.push(("duration_us", duration_us.to_string()));
-            for (k, v) in &inner.fields {
-                fields.push((k, v.clone()));
-            }
-            crate::trace::event(inner.name, &fields);
-        }
         inner.ctx.push(SpanRecord {
             id: inner.id,
             parent: if inner.parent == 0 {
@@ -372,74 +354,41 @@ impl Drop for ActiveSpan {
     }
 }
 
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 impl FinishedTrace {
-    /// Render the trace as one JSON object (hand-rolled; the workspace
-    /// carries no serialization dependency). Shape:
+    /// Render the trace as one JSON object (see [`Self::to_json_value`]).
+    pub fn to_json(&self) -> String {
+        self.to_json_value().emit()
+    }
+
+    /// The trace as a JSON value. Shape:
     /// `{"trace_id":"…","started_at_unix_us":…,"duration_us":…,
     ///   "outcome":"…","detail":"…","dropped_spans":…,"spans":[…]}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.spans.len() * 96);
-        out.push_str("{\"trace_id\":\"");
-        out.push_str(&format_trace_id(self.trace_id));
-        out.push_str("\",\"started_at_unix_us\":");
-        out.push_str(&self.started_at_unix_us.to_string());
-        out.push_str(",\"duration_us\":");
-        out.push_str(&self.duration_us.to_string());
-        out.push_str(",\"outcome\":\"");
-        json_escape(&self.outcome, &mut out);
-        out.push_str("\",\"detail\":\"");
-        json_escape(&self.detail, &mut out);
-        out.push_str("\",\"dropped_spans\":");
-        out.push_str(&self.dropped_spans.to_string());
-        out.push_str(",\"spans\":[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"id\":");
-            out.push_str(&s.id.to_string());
+    pub fn to_json_value(&self) -> Json {
+        let num = |n: u64| Json::Num(n as f64);
+        let key = |k: &str| k.to_string();
+        let spans = self.spans.iter().map(|s| {
+            let mut span = vec![(key("id"), num(s.id))];
             if let Some(p) = s.parent {
-                out.push_str(",\"parent\":");
-                out.push_str(&p.to_string());
+                span.push((key("parent"), num(p)));
             }
-            out.push_str(",\"name\":\"");
-            json_escape(s.name, &mut out);
-            out.push_str("\",\"start_us\":");
-            out.push_str(&s.start_us.to_string());
-            out.push_str(",\"duration_us\":");
-            out.push_str(&s.duration_us.to_string());
+            span.push((key("name"), Json::Str(s.name.to_string())));
+            span.push((key("start_us"), num(s.start_us)));
+            span.push((key("duration_us"), num(s.duration_us)));
             if !s.fields.is_empty() {
-                out.push_str(",\"fields\":{");
-                for (j, (k, v)) in s.fields.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    json_escape(k, &mut out);
-                    out.push_str("\":\"");
-                    json_escape(v, &mut out);
-                    out.push('"');
-                }
-                out.push('}');
+                let fields = s.fields.iter().map(|(k, v)| (key(k), Json::Str(v.clone())));
+                span.push((key("fields"), Json::Obj(fields.collect())));
             }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+            Json::Obj(span)
+        });
+        Json::Obj(vec![
+            (key("trace_id"), Json::Str(format_trace_id(self.trace_id))),
+            (key("started_at_unix_us"), num(self.started_at_unix_us)),
+            (key("duration_us"), num(self.duration_us)),
+            (key("outcome"), Json::Str(self.outcome.clone())),
+            (key("detail"), Json::Str(self.detail.clone())),
+            (key("dropped_spans"), num(self.dropped_spans)),
+            (key("spans"), Json::Arr(spans.collect())),
+        ])
     }
 
     /// Render the span tree as a human-readable per-stage profile: one

@@ -16,10 +16,10 @@ use crate::faults::{Fault, FaultSite};
 use crate::http::{read_request, write_response, HttpError, Request};
 use crate::queue::{BoundedQueue, PushError};
 use crate::retry::{decorrelated_jitter, RetryBudget, Rng};
-use rq_analyze::Json;
 use rq_automata::governor::{EngineError, Exhaustion, Limits, Resource};
 use rq_engine::Engine;
 use rq_graph::Delta;
+use rq_metrics::json::Json;
 use rq_metrics::recorder::Recorder;
 use rq_metrics::span::{self, FinishedTrace, TraceContext};
 use rq_storage::StorageHandle;
@@ -1054,9 +1054,7 @@ fn stamp_trace(body: String, trace: &FinishedTrace, explain: bool) -> String {
         Json::Str(span::format_trace_id(trace.trace_id)),
     ));
     if explain {
-        if let Ok(spans) = Json::parse(&trace.to_json()) {
-            fields.push(("trace".to_string(), spans));
-        }
+        fields.push(("trace".to_string(), trace.to_json_value()));
         fields.push(("profile".to_string(), Json::Str(trace.render())));
     }
     Json::Obj(fields).emit()

@@ -11,7 +11,7 @@
 //! rqtool contain-cq <query1.cq> <query2.cq>
 //! rqtool eval-rq <graph.txt> <query.rq> [--goal=PRED]
 //! rqtool contain-rq <query1.rq> <query2.rq>
-//! rqtool serve-batch <graph.txt> <queries.txt> [--threads=N] [--cache-cap=N] [--metrics] [--trace]
+//! rqtool serve-batch <graph.txt> <queries.txt> [--threads=N] [--cache-cap=N] [--metrics]
 //! rqtool stats <graph.txt> <queries.txt> [--threads=N] [--cache-cap=N]
 //! rqtool explain <graph.txt> <query> [--warm=QUERY] [--threads=N]
 //! rqtool lint <query|file|dir> [--goal=PRED] [--json]
@@ -77,9 +77,7 @@
 //! `--metrics` appends a Prometheus-style text exposition of every metric
 //! recorded while serving (cache dispositions, containment-ladder stages,
 //! latency histograms, governor fuel); `stats` runs the same batch but
-//! prints *only* the exposition. `--trace` streams JSON-lines span events
-//! to stderr (requires the `trace` cargo feature; without it the flag
-//! prints a note and is otherwise ignored).
+//! prints *only* the exposition.
 //!
 //! Resource budgets: `--fuel=N` caps abstract search steps and
 //! `--timeout-ms=N` sets a wall-clock deadline for `contain`,
@@ -99,7 +97,7 @@
 //! with `label-` for inverse letters. Datalog programs use
 //! `Head(X,Y) :- body.` syntax with uppercase variables.
 
-use regular_queries::analyze::{Json, Span};
+use regular_queries::analyze::Span;
 use regular_queries::automata::regex::simplify;
 use regular_queries::core::containment::two_rpq;
 use regular_queries::core::rq::{RqExpr, RqQuery};
@@ -110,6 +108,7 @@ use regular_queries::datalog::parser::{parse_program, parse_program_spanned};
 use regular_queries::datalog::validate::validate_program;
 use regular_queries::graph::dot::{to_dot, DotOptions};
 use regular_queries::graph::text;
+use regular_queries::metrics::json::Json;
 use regular_queries::prelude::*;
 use std::process::ExitCode;
 
@@ -134,7 +133,6 @@ fn main() -> ExitCode {
     let unknown = flags.iter().find(|f| {
         !(***f == "--dot"
             || ***f == "--metrics"
-            || ***f == "--trace"
             || ***f == "--json"
             || ***f == "--deny-warnings"
             || f.starts_with("--from=")
@@ -160,14 +158,6 @@ fn main() -> ExitCode {
             || f.starts_with("--ingest-every-ms=")
             || f.as_str() == "--no-backoff")
     });
-    if flags.iter().any(|f| *f == "--trace") {
-        if regular_queries::metrics::trace::supported() {
-            regular_queries::metrics::trace::install_stderr();
-        } else {
-            eprintln!("note: --trace requires building with `--features trace`; ignoring");
-        }
-    }
-
     let result = match unknown {
         Some(f) => Err(format!("unknown flag {f}\n{}", usage())),
         None => Ok(()),
@@ -228,7 +218,7 @@ fn usage() -> String {
      rqtool contain-cq <query1.cq> <query2.cq>\n  \
      rqtool eval-rq <graph.txt> <query.rq> [--goal=PRED]\n  \
      rqtool contain-rq <query1.rq> <query2.rq>\n  \
-     rqtool serve-batch <graph.txt> <queries.txt> [--threads=N] [--cache-cap=N] [--metrics] [--trace]\n  \
+     rqtool serve-batch <graph.txt> <queries.txt> [--threads=N] [--cache-cap=N] [--metrics]\n  \
      rqtool stats <graph.txt> <queries.txt> [--threads=N] [--cache-cap=N]\n  \
      rqtool explain <graph.txt> <query> [--warm=QUERY] [--threads=N]\n  \
      rqtool lint <query|file|dir> [--goal=PRED] [--json] [--deny-warnings]\n  \

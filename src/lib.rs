@@ -18,8 +18,9 @@
 //! * [`engine`] — concurrent query serving with a containment-based
 //!   semantic cache;
 //! * [`metrics`] — a lock-free metrics registry (counters, gauges,
-//!   fixed-bucket histograms) with Prometheus-style text exposition and
-//!   optional JSON-lines tracing, threaded through the other layers;
+//!   fixed-bucket histograms) with Prometheus-style text exposition,
+//!   request-scoped spans and the workspace's JSON codec, threaded
+//!   through the other layers;
 //! * [`serve`] — a fault-tolerant multi-tenant HTTP front-end over the
 //!   engine: admission control, load-shedding, deadlines/retries,
 //!   graceful drain, and deterministic fault injection (`rqtool serve`).

@@ -196,8 +196,8 @@ fn timeout_mid_subsumption_reevaluation_is_structured() {
 /// generic failure, and never an unbounded retry storm.
 #[test]
 fn retry_budget_exhaustion_returns_last_exhaustion_report() {
-    use regular_queries::analyze::Json;
     use regular_queries::graph::generate;
+    use regular_queries::metrics::json::Json;
     use regular_queries::serve::Client;
     let db = generate::random_gnm(40, 160, &["a", "b"], 17);
     let engine = Engine::new(

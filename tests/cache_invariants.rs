@@ -129,7 +129,7 @@ fn subsumed_answers_match_cold_evaluation() {
 }
 
 #[test]
-fn canonical_keys_ignore_interning_and_union_order() {
+fn canonical_key_ignores_interning_and_union_order() {
     let mut rng = SplitMix64::new(7_777);
     for trial in 0..60 {
         let al1 = Alphabet::from_names(["a", "b", "c"]);

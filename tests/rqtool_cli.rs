@@ -1,7 +1,8 @@
 //! Black-box tests of the `rqtool` binary (spawned via the path Cargo
 //! provides to integration tests).
 
-use regular_queries::analyze::{Json, Report};
+use regular_queries::analyze::Report;
+use regular_queries::metrics::json::Json;
 use std::process::Command;
 
 fn rqtool(args: &[&str]) -> (String, String, bool) {
@@ -137,6 +138,9 @@ fn bad_usage_fails_cleanly() {
     let (_, stderr, ok) = rqtool(&["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("usage:"), "{stderr}");
+    let (_, stderr, ok) = rqtool(&["eval", &data("social.graph"), "knows", "--trace"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag --trace"), "{stderr}");
     let (_, stderr, ok) = rqtool(&["eval", "/nonexistent/file.graph", "a"]);
     assert!(!ok);
     assert!(stderr.contains("error[io]: cannot read"), "{stderr}");

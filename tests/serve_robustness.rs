@@ -4,8 +4,8 @@
 //! `--features faults`, a seeded 10k-request chaos suite in which every
 //! request must be answered or shed with no hang, leak, or abort.
 
-use regular_queries::analyze::Json;
 use regular_queries::graph::generate;
+use regular_queries::metrics::json::Json;
 use regular_queries::prelude::*;
 use regular_queries::serve::Client;
 use std::time::{Duration, Instant};
@@ -144,12 +144,24 @@ fn query_storm_racing_drain_always_terminates() {
                 let q = format!("a{}", " (a|b)".repeat((t + i) % 8 + 1));
                 match client.request("POST", "/query", &[], q.as_bytes()) {
                     Ok(resp) => {
+                        // 422 is the degradation ladder's terminal rung:
+                        // the longer chains can spend the default request
+                        // fuel, and must then carry the exhaustion report.
                         assert!(
-                            matches!(resp.status, 200 | 408 | 429 | 503),
+                            matches!(resp.status, 200 | 408 | 422 | 429 | 503),
                             "unexpected status {}: {}",
                             resp.status,
                             resp.text()
                         );
+                        if resp.status == 422 {
+                            let body = Json::parse(&resp.text()).expect("json body");
+                            assert_eq!(body.get("error").and_then(Json::as_str), Some("exhausted"));
+                            let resource = body
+                                .get("exhaustion")
+                                .and_then(|ex| ex.get("resource"))
+                                .and_then(Json::as_str);
+                            assert!(resource.is_some(), "422 carries the report: {body:?}");
+                        }
                         outcomes.push(resp.status);
                     }
                     // The server hung up after stopping — terminal too.
