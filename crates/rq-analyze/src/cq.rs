@@ -3,8 +3,9 @@
 use crate::diag;
 use crate::diag::{Report, Span};
 use rq_automata::{Alphabet, Limits};
-use rq_core::containment::facade::check_quick;
-use rq_core::{C2Rpq, TwoRpq, Uc2Rpq};
+use rq_core::canonical::CompiledQuery;
+use rq_core::containment::facade::check_quick_governed;
+use rq_core::{C2Rpq, Uc2Rpq};
 
 /// Lint a UC2RPQ. `spans` optionally locates each disjunct in the source
 /// text (one entry per disjunct, as produced by re-scanning the
@@ -158,7 +159,11 @@ fn subsumed_disjuncts(
     span_of: &impl Fn(usize) -> Option<Span>,
     report: &mut Report,
 ) {
-    let chains: Vec<Option<TwoRpq>> = q.disjuncts.iter().map(C2Rpq::collapse_chain).collect();
+    let compile = |d: &C2Rpq| {
+        let chain = d.collapse_chain()?;
+        Some(CompiledQuery::new(&chain, alphabet, &limits.governor()))
+    };
+    let chains: Vec<Option<CompiledQuery>> = q.disjuncts.iter().map(compile).collect();
     let n = q.disjuncts.len();
     let mut dropped: Vec<Option<usize>> = vec![None; n];
     for i in 0..n {
@@ -174,7 +179,7 @@ fn subsumed_disjuncts(
             if q.disjuncts[i] == q.disjuncts[j] {
                 continue; // RQC003's territory
             }
-            if check_quick(ci, cj, alphabet, limits).is_contained() {
+            if check_quick_governed(ci, cj, alphabet, &limits.governor()).is_contained() {
                 dropped[i] = Some(j);
                 break;
             }
@@ -190,11 +195,13 @@ fn subsumed_disjuncts(
                 chains[i]
                     .as_ref()
                     .expect("dropped disjuncts collapsed")
+                    .query()
                     .regex()
                     .display(alphabet),
                 chains[*j]
                     .as_ref()
                     .expect("subsumers collapsed")
+                    .query()
                     .regex()
                     .display(alphabet)
             ),

@@ -19,7 +19,8 @@
 
 use crate::metrics;
 use rq_automata::{Alphabet, Limits, Regex};
-use rq_core::containment::facade::check_quick;
+use rq_core::canonical::CompiledQuery;
+use rq_core::containment::facade::check_quick_governed;
 use rq_core::TwoRpq;
 
 /// What pre-flight did to a query.
@@ -54,15 +55,18 @@ pub struct Preflight {
 }
 
 /// For each union branch, the index of the kept sibling that subsumes it
-/// (`None` for branches that survive). `limits` governs each containment
-/// probe; an `Unknown` outcome keeps the branch (sound: we only drop on
-/// proof).
+/// (`None` for branches that survive). Each branch is compiled once;
+/// `limits` governs each compile and each containment probe, and an
+/// `Unknown` outcome keeps the branch (sound: we only drop on proof).
 pub(crate) fn subsumed_branches(
     parts: &[Regex],
     alphabet: &Alphabet,
     limits: &Limits,
 ) -> Vec<Option<usize>> {
-    let compiled: Vec<TwoRpq> = parts.iter().map(|p| TwoRpq::new(p.clone())).collect();
+    let compiled: Vec<CompiledQuery> = parts
+        .iter()
+        .map(|p| CompiledQuery::new(&TwoRpq::new(p.clone()), alphabet, &limits.governor()))
+        .collect();
     let mut dropped: Vec<Option<usize>> = vec![None; parts.len()];
     for i in 0..parts.len() {
         if dropped[i].is_some() {
@@ -72,7 +76,8 @@ pub(crate) fn subsumed_branches(
             if i == j || dropped[j].is_some() {
                 continue;
             }
-            if check_quick(&compiled[i], &compiled[j], alphabet, limits).is_contained() {
+            let gov = limits.governor();
+            if check_quick_governed(&compiled[i], &compiled[j], alphabet, &gov).is_contained() {
                 dropped[i] = Some(j);
                 break;
             }

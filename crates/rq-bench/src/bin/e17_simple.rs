@@ -7,14 +7,14 @@
 //!
 //! 1. the simple-heavy batch (`e17_simple_batch`): every query is in the
 //!    SCRPQ fragment, so every cache probe is a simple-vs-simple pair
-//!    the polynomial rung decides — the exact 2NFA stage should see
-//!    zero probes and the probe-fuel histogram should not move (the
-//!    simple rung is unmetered);
+//!    the polynomial rung decides — the exact 2NFA stage must see zero
+//!    calls (the binary exits non-zero otherwise) and the probe-fuel
+//!    histogram should not move (the simple rung is unmetered);
 //! 2. the E13 fold workload (Lemma-2 detours `r r⁻ r` and their
 //!    answer-equivalent unions): every query contains inverses, so the
 //!    simple rung passes and the exact stage does all the deciding —
-//!    the 22-probe baseline from E13 must be unchanged (no regression
-//!    on the non-simple path).
+//!    its probe count must match E13's (no regression on the
+//!    non-simple path).
 //!
 //! Usage: `cargo run --release -p rq-bench --bin e17_simple`
 
@@ -117,7 +117,7 @@ fn main() {
         .collect();
 
     // Workload 2: the E13 fold workload — detour + union pairs plus the
-    // two ∅ queries, exactly the batch behind the 22-probe baseline.
+    // two ∅ queries, exactly the batch behind E13's probe count.
     let mut fold: Vec<TwoRpq> = Vec::new();
     for (_, detour, union) in e13_fold_pairs() {
         fold.push(detour);
@@ -132,8 +132,8 @@ fn main() {
 
     // "probes" counts cache-lookup containment probes; the stage columns
     // count *every* ladder invocation the workload triggered — cache
-    // probes plus `run_batch`'s pairwise planning checks plus pre-flight
-    // subsumed-branch checks — so stage totals exceed the probe count.
+    // probes plus pre-flight subsumed-branch checks — so stage totals can
+    // exceed the probe count.
     println!("## E17 — simple-fragment ladder rung: probe and fuel deltas per workload\n");
     println!("| workload | cache probes | ladder: simple | full_check | syntactic | exhausted | probe fuel | hit-rate | ms |");
     println!("|---|---|---|---|---|---|---|---|---|");
@@ -143,8 +143,8 @@ fn main() {
     print_row("fold/E13 (18q)", &d_fold, &stats_fold, ms_fold);
     println!();
     println!(
-        "simple-heavy: {} of {} ladder calls ({} cache probes + batch planning) decided at the \
-         polynomial rung; {} reached the exact stage; {} probe fuel charged",
+        "simple-heavy: {} of {} ladder calls ({} cache probes) decided at the polynomial rung; \
+         {} reached the exact stage; {} probe fuel charged",
         d_simple.stages[3],
         d_simple.stages.iter().sum::<u64>(),
         d_simple.probes,
@@ -156,4 +156,12 @@ fn main() {
          the simple rung passed on every inverse-containing pair",
         d_fold.probes, d_fold.stages[4], d_fold.fuel_sum
     );
+    if d_simple.stages[4] != 0 {
+        eprintln!(
+            "error: the simple-heavy batch made {} full_check ladder calls; simple pairs must \
+             never reach the exact stage",
+            d_simple.stages[4]
+        );
+        std::process::exit(1);
+    }
 }

@@ -19,11 +19,16 @@
 //!   fold-closure — queries equivalent only over databases (like `p` and
 //!   `p p- p`) get distinct keys and are instead related by the containment
 //!   probes in [`crate::containment::facade`].
+//!
+//! [`CompiledQuery`] holds a query with everything the containment ladder
+//! derives from it alone, so the cache, its probes and pre-flight build
+//! those artefacts once per query instead of once per pair.
 
 use crate::rpq::TwoRpq;
 use rq_automata::governor::{expect_unlimited, Exhaustion, Governor};
 use rq_automata::regex::simplify;
-use rq_automata::{Alphabet, Dfa, Letter, Nfa};
+use rq_automata::simple::{classify, SimpleRe};
+use rq_automata::{Alphabet, Dfa, Letter, Nfa, Regex};
 use std::fmt::Write as _;
 
 /// The canonical key of the empty-language query.
@@ -41,7 +46,55 @@ pub fn canonical_key_governed(
     alphabet: &Alphabet,
     gov: &Governor,
 ) -> Result<String, Exhaustion> {
-    let regex = simplify(q.regex());
+    simplified_key(&simplify(q.regex()), alphabet, gov)
+}
+
+/// A query and its containment artefacts, built once by
+/// [`CompiledQuery::new`]. The fields stay private so the artefacts can
+/// only ever be the ones derived from `query`.
+#[derive(Debug, Clone)]
+pub struct CompiledQuery {
+    query: TwoRpq,
+    /// The simplified regex.
+    pub(crate) regex: Regex,
+    /// The canonical key, or `None` when the key budget ran out.
+    pub(crate) key: Option<String>,
+    /// The simple-fragment class, or `None` outside the fragment.
+    pub(crate) class: Option<SimpleRe>,
+}
+
+impl CompiledQuery {
+    /// Simplify, key (metered by `gov`) and classify `q`.
+    pub fn new(q: &TwoRpq, alphabet: &Alphabet, gov: &Governor) -> CompiledQuery {
+        let regex = simplify(q.regex());
+        CompiledQuery {
+            query: q.clone(),
+            key: simplified_key(&regex, alphabet, gov).ok(),
+            class: classify(&regex).ok(),
+            regex,
+        }
+    }
+
+    /// The query as given.
+    pub fn query(&self) -> &TwoRpq {
+        &self.query
+    }
+
+    /// The cache key: the canonical key, or the syntactic key when the
+    /// key budget ran out.
+    pub fn cache_key(&self, alphabet: &Alphabet) -> String {
+        self.key
+            .clone()
+            .unwrap_or_else(|| syntactic_key(&self.query, alphabet))
+    }
+}
+
+/// Canonical key of an already simplified `regex`.
+fn simplified_key(
+    regex: &Regex,
+    alphabet: &Alphabet,
+    gov: &Governor,
+) -> Result<String, Exhaustion> {
     if regex.is_empty_language() {
         return Ok(EMPTY_KEY.to_string());
     }
@@ -50,7 +103,7 @@ pub fn canonical_key_governed(
     // alphabets that intern the same names in different orders.
     let mut letters: Vec<Letter> = regex.letters().into_iter().collect();
     letters.sort_by_key(|l| (alphabet.name(l.label).to_string(), l.inverse));
-    let nfa = Nfa::from_regex(&regex).eliminate_epsilon().trim();
+    let nfa = Nfa::from_regex(regex).eliminate_epsilon().trim();
     let dfa = Dfa::determinize_governed(&nfa, &letters, gov)?.minimize();
     Ok(serialize(&dfa, alphabet))
 }

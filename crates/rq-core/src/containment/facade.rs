@@ -8,61 +8,66 @@
 //! 1. syntactic equality of the simplified expressions;
 //! 2. empty left-hand language (`∅ ⊑ Q` always — [`Certificate::EmptyLeft`]);
 //! 3. canonical-key equality (same minimal DFA ⟹ same word language ⟹
-//!    containment both ways), metered;
+//!    containment both ways), metered only for a key the compiled query
+//!    lacks;
 //! 4. the polynomial simple-fragment checker ([`super::simple`]), when
 //!    both sides classify into the SCRPQ fragment — exact in both
 //!    directions, never `Unknown` (it declines oversized instances
 //!    instead, falling through);
 //! 5. the exact fold-based checker, metered.
 //!
-//! Every rung runs under the caller's [`Limits`]; a budget tripped anywhere
-//! surfaces as [`Outcome::Unknown`], which cache callers treat as "no
-//! subsumption found" — the cache degrades to exact-match instead of
-//! stalling the request.
+//! The ladder runs on [`CompiledQuery`] pairs, so the simplified regexes,
+//! canonical keys and simple-fragment classes it compares are built once
+//! per query, not once per check. Every rung runs under the caller's
+//! [`Limits`]; a budget tripped anywhere surfaces as [`Outcome::Unknown`],
+//! which cache callers treat as "no subsumption found" — the cache
+//! degrades to exact-match instead of stalling the request.
 
 use super::{simple, two_rpq, Certificate, Outcome};
-use crate::canonical::canonical_key_governed;
+use crate::canonical::{canonical_key_governed, CompiledQuery};
 use crate::rpq::TwoRpq;
 use rq_automata::governor::{Governor, Limits};
-use rq_automata::regex::simplify;
-use rq_automata::simple::classify;
 use rq_automata::Alphabet;
 use rq_metrics::span;
 
 /// Decide `q1 ⊑ q2` cheaply first, escalating to the exact 2RPQ checker
-/// only when the fast rungs are inconclusive. All work is metered by a
-/// governor spawned from `limits`.
+/// only when the fast rungs are inconclusive. Both queries are compiled
+/// and checked under one governor spawned from `limits`.
 pub fn check_quick(q1: &TwoRpq, q2: &TwoRpq, alphabet: &Alphabet, limits: &Limits) -> Outcome {
-    check_quick_governed(q1, q2, alphabet, &Governor::new(limits.clone()))
+    let gov = Governor::new(limits.clone());
+    let c1 = CompiledQuery::new(q1, alphabet, &gov);
+    let c2 = CompiledQuery::new(q2, alphabet, &gov);
+    check_quick_governed(&c1, &c2, alphabet, &gov)
 }
 
-/// [`check_quick`] against a caller-owned governor, so callers (the
-/// semantic cache) can read back how much budget the probe actually spent
-/// from [`Governor::counters`]. Each rung records which stage of the
-/// ladder decided the check in the `rq_containment_ladder_total` metric,
-/// and opens a trace span (`ladder.*`, see ALGORITHMS.md) annotated with
-/// the rung's verdict — `contained` / `not_contained` / `unknown` when it
-/// decided, `pass` when it was inconclusive and the ladder escalated.
+/// [`check_quick`] on compiled queries against a caller-owned governor,
+/// so callers (the semantic cache) can read back how much budget the
+/// probe actually spent from [`Governor::counters`]. The fast rungs read
+/// the compiled artefacts; only a key the compile-time budget could not
+/// afford is computed here, under `gov`. Each rung records which stage of
+/// the ladder decided the check in the `rq_containment_ladder_total`
+/// metric, and opens a trace span (`ladder.*`, see ALGORITHMS.md)
+/// annotated with the rung's verdict — `contained` / `not_contained` /
+/// `unknown` when it decided, `pass` when it was inconclusive and the
+/// ladder escalated.
 pub fn check_quick_governed(
-    q1: &TwoRpq,
-    q2: &TwoRpq,
+    c1: &CompiledQuery,
+    c2: &CompiledQuery,
     alphabet: &Alphabet,
     gov: &Governor,
 ) -> Outcome {
-    let r1 = simplify(q1.regex());
     {
         let mut s = span::start("ladder.empty_left");
-        if r1.is_empty_language() {
+        if c1.regex.is_empty_language() {
             s.record("verdict", "contained");
             metrics::ladder_stage(metrics::Stage::EmptyLeft);
             return Outcome::Contained(Certificate::EmptyLeft);
         }
         s.record("verdict", "pass");
     }
-    let r2 = simplify(q2.regex());
     {
         let mut s = span::start("ladder.syntactic_eq");
-        if r1 == r2 {
+        if c1.regex == c2.regex {
             s.record("verdict", "contained");
             metrics::ladder_stage(metrics::Stage::SyntacticEq);
             return Outcome::Contained(Certificate::LanguageContainment { states_explored: 0 });
@@ -72,10 +77,11 @@ pub fn check_quick_governed(
     {
         let mut s = span::start("ladder.canonical_key");
         let fuel_before = gov.fuel_spent();
-        let keys = (
-            canonical_key_governed(q1, alphabet, gov),
-            canonical_key_governed(q2, alphabet, gov),
-        );
+        let key = |c: &CompiledQuery| match &c.key {
+            Some(k) => Ok(k.clone()),
+            None => canonical_key_governed(c.query(), alphabet, gov),
+        };
+        let keys = (key(c1), key(c2));
         if s.active() {
             s.record("fuel", gov.fuel_spent() - fuel_before);
         }
@@ -100,8 +106,8 @@ pub fn check_quick_governed(
         // Unmetered: its work is bounded by the simple checker's own
         // state cap, not the caller's fuel budget.
         let mut s = span::start("ladder.simple");
-        match (classify(&r1), classify(&r2)) {
-            (Ok(sl), Ok(sr)) => match simple::check_simple(&sl, &sr, alphabet) {
+        match (&c1.class, &c2.class) {
+            (Some(sl), Some(sr)) => match simple::check_simple(sl, sr, alphabet) {
                 Some((outcome, states)) => {
                     s.record("states", states);
                     s.record(
@@ -131,7 +137,7 @@ pub fn check_quick_governed(
     }
     let mut s = span::start("ladder.full_check");
     let fuel_before = gov.fuel_spent();
-    let result = two_rpq::check_governed(q1, q2, alphabet, gov);
+    let result = two_rpq::check_governed(c1.query(), c2.query(), alphabet, gov);
     if s.active() {
         s.record("fuel", gov.fuel_spent() - fuel_before);
     }

@@ -324,26 +324,8 @@ fn walks(phi: &C2Rpq, u: &str, v: &str, max_len: usize) -> Vec<Regex> {
 
 /// Expansion-search refutation of `phi ⊑ eval2-query`: returns a witness
 /// database on which `phi` answers the head tuple but `eval2` does not.
-pub fn refute_conjunct<F>(
-    phi: &C2Rpq,
-    alphabet: &Alphabet,
-    cfg: &Config,
-    eval2: F,
-) -> Option<Witness>
-where
-    F: Fn(&GraphDb) -> BTreeSet<Vec<NodeId>>,
-{
-    expect_unlimited(refute_conjunct_governed(
-        phi,
-        alphabet,
-        cfg,
-        &Governor::unlimited(),
-        eval2,
-    ))
-}
-
-/// [`refute_conjunct`] under a resource governor: each enumerated
-/// expansion is metered as one word (plus one fuel).
+/// Each enumerated expansion is metered by `gov` as one word (plus one
+/// fuel).
 pub fn refute_conjunct_governed<F>(
     phi: &C2Rpq,
     alphabet: &Alphabet,

@@ -8,9 +8,8 @@
 //!   union, then drop redundant atoms inside each surviving conjunct
 //!   (removing an atom only ever *relaxes* a conjunct, so the rewrite is
 //!   an equivalence exactly when the relaxed query is still contained in
-//!   the original — decided by the hybrid checker);
-//! * [`simplify_atoms`] — run the containment-verified regex simplifier
-//!   over every atom.
+//!   the original — decided by the hybrid checker), then simplify the
+//!   regex of every surviving atom.
 //!
 //! Because the UC2RPQ checker is budgeted, minimization is *conservative*:
 //! a rewrite is applied only on a definite `Contained` verdict; `Unknown`
@@ -117,30 +116,6 @@ pub fn minimize_uc2rpq(q: &Uc2Rpq, alphabet: &Alphabet, cfg: &Config) -> (Uc2Rpq
         },
         stats,
     )
-}
-
-/// Simplify every atom's regular expression without structural rewrites.
-pub fn simplify_atoms(q: &Uc2Rpq) -> Uc2Rpq {
-    let disjuncts = q
-        .disjuncts
-        .iter()
-        .map(|d| {
-            let atoms = d
-                .atoms
-                .iter()
-                .map(|a| {
-                    let mut a = a.clone();
-                    a.rel = TwoRpq::new(simplify(a.rel.regex()));
-                    a
-                })
-                .collect();
-            C2Rpq {
-                head: d.head.clone(),
-                atoms,
-            }
-        })
-        .collect();
-    Uc2Rpq { disjuncts }
 }
 
 #[cfg(test)]

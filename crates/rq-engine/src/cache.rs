@@ -1,10 +1,12 @@
 //! The containment-based semantic result cache.
 //!
-//! Submitted queries are normalized to a canonical key
-//! ([`rq_core::canonical`]); a key hit returns the materialized answer
-//! outright. On a key miss the cache *probes* its most recently used
-//! entries with the cheap-first containment facade
-//! ([`rq_core::containment::facade::check_quick`]):
+//! Submitted queries are compiled once ([`CompiledQuery`]) into their
+//! canonical key, simplified regex and simple-fragment class; a key hit
+//! returns the materialized answer outright, and entries keep their
+//! compiled query so probes against them rebuild nothing. On a key miss
+//! the cache *probes* its most recently used entries with the cheap-first
+//! containment facade
+//! ([`rq_core::containment::facade::check_quick_governed`]):
 //!
 //! * `Q ⊑ Q'` and `Q' ⊑ Q` — the cached answer **is** the answer
 //!   ([`Lookup::Equivalent`], zero graph work);
@@ -25,7 +27,7 @@
 
 use rq_automata::governor::{Governor, Limits};
 use rq_automata::{Alphabet, LabelId};
-use rq_core::canonical::{canonical_key_governed, syntactic_key};
+use rq_core::canonical::CompiledQuery;
 use rq_core::containment::facade::check_quick_governed;
 use rq_core::containment::Outcome;
 use rq_core::TwoRpq;
@@ -132,9 +134,7 @@ pub enum Lookup {
     Equivalent(Answer),
     /// Probes proved `Q ⊑ Q'`: answer by filtering `superset`.
     Subsumed {
-        /// The subsuming cached query `Q'`.
-        query: TwoRpq,
-        /// Its materialized answer `Q'(D) ⊇ Q(D)`.
+        /// The subsuming cached query's materialized answer `Q'(D) ⊇ Q(D)`.
         superset: Answer,
     },
     /// No usable entry: evaluate against the graph.
@@ -155,7 +155,7 @@ impl Lookup {
 
 struct Entry {
     key: String,
-    query: TwoRpq,
+    query: CompiledQuery,
     answer: Answer,
     last_used: u64,
 }
@@ -182,11 +182,15 @@ impl SemanticCache {
         }
     }
 
+    /// Compile `q`, with its canonical key metered by `key_limits`.
+    pub fn compile(&self, q: &TwoRpq, alphabet: &Alphabet) -> CompiledQuery {
+        CompiledQuery::new(q, alphabet, &Governor::new(self.config.key_limits.clone()))
+    }
+
     /// The cache key of `q`: canonical when affordable within
     /// `key_limits`, syntactic otherwise.
     pub fn key_of(&self, q: &TwoRpq, alphabet: &Alphabet) -> String {
-        let gov = Governor::new(self.config.key_limits.clone());
-        canonical_key_governed(q, alphabet, &gov).unwrap_or_else(|_| syntactic_key(q, alphabet))
+        self.compile(q, alphabet).cache_key(alphabet)
     }
 
     /// Number of materialized entries.
@@ -199,14 +203,9 @@ impl SemanticCache {
         self.entries.is_empty()
     }
 
-    /// Counters accumulated since construction (or [`Self::reset_stats`]).
+    /// Counters accumulated since construction.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Zero the counters, keeping the entries.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Drop every entry (counters are kept).
@@ -222,13 +221,19 @@ impl SemanticCache {
     /// One budgeted containment probe `a ⊑ b`, with the fuel it spent and
     /// its verdict recorded in the probe metrics. An exhausted probe is
     /// counted as such — not as a non-containment verdict.
-    fn probe(&mut self, a: &TwoRpq, b: &TwoRpq, alphabet: &Alphabet) -> Outcome {
+    fn probe(
+        limits: &Limits,
+        stats: &mut CacheStats,
+        a: &CompiledQuery,
+        b: &CompiledQuery,
+        alphabet: &Alphabet,
+    ) -> Outcome {
         let mut span = span::start("cache.probe");
-        self.stats.probes += 1;
-        let gov = Governor::new(self.config.probe_limits.clone());
+        stats.probes += 1;
+        let gov = Governor::new(limits.clone());
         let out = check_quick_governed(a, b, alphabet, &gov);
         if out.is_unknown() {
-            self.stats.probe_exhausted += 1;
+            stats.probe_exhausted += 1;
         }
         if span.active() {
             span.record(
@@ -247,9 +252,9 @@ impl SemanticCache {
         out
     }
 
-    /// Look up `q` (with `key` from [`Self::key_of`]), updating counters
-    /// and recency.
-    pub fn lookup(&mut self, q: &TwoRpq, key: &str, alphabet: &Alphabet) -> Lookup {
+    /// Look up `q` (with `key` its [`CompiledQuery::cache_key`]), updating
+    /// counters and recency.
+    pub fn lookup(&mut self, q: &CompiledQuery, key: &str, alphabet: &Alphabet) -> Lookup {
         let mut span = span::start("cache.lookup");
         if let Some(i) = self.entries.iter().position(|e| e.key == key) {
             self.touch(i);
@@ -262,16 +267,18 @@ impl SemanticCache {
         let mut order: Vec<usize> = (0..self.entries.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(self.entries[i].last_used));
         order.truncate(self.config.probe_candidates);
+        let limits = &self.config.probe_limits;
         for i in order {
-            let cached_query = self.entries[i].query.clone();
-            if !self.probe(q, &cached_query, alphabet).is_contained() {
+            let cached = &self.entries[i];
+            if !Self::probe(limits, &mut self.stats, q, &cached.query, alphabet).is_contained() {
                 continue;
             }
             // `q ⊑ cached` is proven; the reverse probe only decides
             // equivalent-vs-subsumed, so an exhausted reverse probe soundly
             // degrades to the subsumption path.
-            let equivalent = self.probe(&cached_query, q, alphabet).is_contained();
-            let answer = Arc::clone(&self.entries[i].answer);
+            let equivalent =
+                Self::probe(limits, &mut self.stats, &cached.query, q, alphabet).is_contained();
+            let answer = Arc::clone(&cached.answer);
             self.touch(i);
             return if equivalent {
                 self.stats.equivalent += 1;
@@ -283,10 +290,7 @@ impl SemanticCache {
                 span.record("disposition", "subsumed");
                 span.record("superset_pairs", answer.len());
                 metrics::disposition("subsumed");
-                Lookup::Subsumed {
-                    query: cached_query,
-                    superset: answer,
-                }
+                Lookup::Subsumed { superset: answer }
             };
         }
         self.stats.misses += 1;
@@ -297,7 +301,7 @@ impl SemanticCache {
 
     /// Materialize `answer` for `q` under `key`, evicting the least
     /// recently used entry when at capacity.
-    pub fn insert(&mut self, key: String, q: &TwoRpq, answer: Answer) {
+    pub fn insert(&mut self, key: String, q: CompiledQuery, answer: Answer) {
         if self.config.capacity == 0 {
             return;
         }
@@ -321,7 +325,7 @@ impl SemanticCache {
         self.clock += 1;
         self.entries.push(Entry {
             key,
-            query: q.clone(),
+            query: q,
             answer,
             last_used: self.clock,
         });
@@ -355,11 +359,12 @@ impl SemanticCache {
         self.entries.retain(|e| {
             let hit = e
                 .query
+                .query()
                 .regex()
                 .letters()
                 .iter()
                 .any(|l| touched.contains(&l.label))
-                || (added_nodes && e.query.nullable());
+                || (added_nodes && e.query.query().nullable());
             !hit
         });
         let evicted = (before - self.entries.len()) as u64;
@@ -483,9 +488,12 @@ mod tests {
         let q1 = TwoRpq::parse("a b | a c", &mut al).unwrap();
         let q2 = TwoRpq::parse("a(b|c)", &mut al).unwrap();
         let k1 = cache.key_of(&q1, &al);
-        cache.insert(k1, &q1, pairs(&db, &q1));
+        cache.insert(k1, cache.compile(&q1, &al), pairs(&db, &q1));
         let k2 = cache.key_of(&q2, &al);
-        assert!(matches!(cache.lookup(&q2, &k2, &al), Lookup::Exact(_)));
+        assert!(matches!(
+            cache.lookup(&cache.compile(&q2, &al), &k2, &al),
+            Lookup::Exact(_)
+        ));
         assert_eq!(cache.stats().exact, 1);
     }
 
@@ -503,8 +511,11 @@ mod tests {
         let k1 = cache.key_of(&q1, &al);
         let k2 = cache.key_of(&q2, &al);
         assert_ne!(k1, k2, "syntactic keys must differ");
-        cache.insert(k1, &q1, pairs(&db, &q1));
-        assert!(matches!(cache.lookup(&q2, &k2, &al), Lookup::Equivalent(_)));
+        cache.insert(k1, cache.compile(&q1, &al), pairs(&db, &q1));
+        assert!(matches!(
+            cache.lookup(&cache.compile(&q2, &al), &k2, &al),
+            Lookup::Equivalent(_)
+        ));
     }
 
     #[test]
@@ -514,9 +525,9 @@ mod tests {
         let big = TwoRpq::parse("(a|b)+", &mut al).unwrap();
         let small = TwoRpq::parse("a+", &mut al).unwrap();
         let kb = cache.key_of(&big, &al);
-        cache.insert(kb, &big, pairs(&db, &big));
+        cache.insert(kb, cache.compile(&big, &al), pairs(&db, &big));
         let ks = cache.key_of(&small, &al);
-        match cache.lookup(&small, &ks, &al) {
+        match cache.lookup(&cache.compile(&small, &al), &ks, &al) {
             Lookup::Subsumed { superset, .. } => {
                 assert!(pairs(&db, &small).is_subset(&superset));
             }
@@ -538,15 +549,18 @@ mod tests {
             .collect();
         for q in &queries {
             let k = cache.key_of(q, &al);
-            assert!(matches!(cache.lookup(q, &k, &al), Lookup::Miss));
-            cache.insert(k, q, pairs(&db, q));
+            assert!(matches!(
+                cache.lookup(&cache.compile(q, &al), &k, &al),
+                Lookup::Miss
+            ));
+            cache.insert(k, cache.compile(q, &al), pairs(&db, q));
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // The oldest entry ("a a") is gone; "a b" survives.
         let k = cache.key_of(&queries[2], &al);
         assert!(matches!(
-            cache.lookup(&queries[2], &k, &al),
+            cache.lookup(&cache.compile(&queries[2], &al), &k, &al),
             Lookup::Exact(_)
         ));
     }
@@ -558,12 +572,17 @@ mod tests {
             probe_limits: Limits::unlimited().with_fuel(1),
             ..CacheConfig::default()
         });
-        let big = TwoRpq::parse("(a|b)+", &mut al).unwrap();
+        // The inverse letter keeps the pair out of the simple fragment, so
+        // only the metered exact stage can decide it.
+        let big = TwoRpq::parse("(a|a-)+", &mut al).unwrap();
         let small = TwoRpq::parse("a+", &mut al).unwrap();
         let kb = cache.key_of(&big, &al);
-        cache.insert(kb, &big, pairs(&db, &big));
+        cache.insert(kb, cache.compile(&big, &al), pairs(&db, &big));
         let ks = cache.key_of(&small, &al);
-        assert!(matches!(cache.lookup(&small, &ks, &al), Lookup::Miss));
+        assert!(matches!(
+            cache.lookup(&cache.compile(&small, &al), &ks, &al),
+            Lookup::Miss
+        ));
         // The starved probe is recorded as exhausted, not as a proven
         // non-containment: the miss is a budget artifact and says so.
         let stats = cache.stats();
@@ -580,7 +599,7 @@ mod tests {
         let qab = TwoRpq::parse("a b", &mut al).unwrap();
         for q in [&qa, &qb, &qab] {
             let k = cache.key_of(q, &al);
-            cache.insert(k, q, pairs(&db, q));
+            cache.insert(k, cache.compile(q, &al), pairs(&db, q));
         }
         let touched: BTreeSet<LabelId> = [al.get("a").unwrap()].into_iter().collect();
         let evicted = cache.invalidate(&touched, false);
@@ -601,7 +620,7 @@ mod tests {
         let plain = TwoRpq::parse("b+", &mut al).unwrap();
         for q in [&nullable, &plain] {
             let k = cache.key_of(q, &al);
-            cache.insert(k, q, pairs(&db, q));
+            cache.insert(k, cache.compile(q, &al), pairs(&db, q));
         }
         let touched: BTreeSet<LabelId> = [al.get("a").unwrap()].into_iter().collect();
         assert_eq!(cache.invalidate(&touched, true), 1);
@@ -609,7 +628,11 @@ mod tests {
         assert!(cache.contains_key(&kp), "non-nullable b+ survives");
         // Without node additions the nullable entry would have survived.
         let k = cache.key_of(&nullable, &al);
-        cache.insert(k.clone(), &nullable, pairs(&db, &nullable));
+        cache.insert(
+            k.clone(),
+            cache.compile(&nullable, &al),
+            pairs(&db, &nullable),
+        );
         assert_eq!(cache.invalidate(&touched, false), 0);
         assert!(cache.contains_key(&k));
     }
@@ -621,7 +644,7 @@ mod tests {
         let q = TwoRpq::parse("a b", &mut al).unwrap();
         let k = cache.key_of(&q, &al);
         assert!(!cache.contains_key(&k));
-        cache.insert(k.clone(), &q, pairs(&db, &q));
+        cache.insert(k.clone(), cache.compile(&q, &al), pairs(&db, &q));
         assert!(cache.contains_key(&k));
         assert_eq!(cache.stats(), CacheStats::default(), "no lookup counted");
     }

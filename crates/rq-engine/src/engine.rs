@@ -395,13 +395,15 @@ impl Engine {
                 q.clone()
             };
             // Degraded (post-recovery) serving skips all cache traffic:
-            // the answer still comes from the graph.
+            // the answer still comes from the graph. Otherwise the query is
+            // compiled once, for both the lookup and the insert.
             let (key, lookup) = if self.is_degraded() {
                 (None, Lookup::Miss)
             } else {
-                let key = cache.key_of(&q_eff, alphabet);
-                let lookup = cache.lookup(&q_eff, &key, alphabet);
-                (Some(key), lookup)
+                let compiled = cache.compile(&q_eff, alphabet);
+                let key = compiled.cache_key(alphabet);
+                let lookup = cache.lookup(&compiled, &key, alphabet);
+                (Some((key, compiled)), lookup)
             };
             (key, lookup, q_eff, self.db(), self.epoch())
         };
@@ -437,7 +439,7 @@ impl Engine {
                 (answer, Disposition::Miss)
             }
         };
-        if let Some(key) = key {
+        if let Some((key, compiled)) = key {
             let mut shared = self.shared();
             // The recovery may have happened mid-request (the poison was
             // observed by this very lock call): don't materialize into a
@@ -446,7 +448,7 @@ impl Engine {
             // for a superseded graph version — correct to *return* (the
             // query linearizes at lookup time) but wrong to *cache*.
             if !self.is_degraded() && self.epoch() == epoch_at_lookup {
-                shared.cache.insert(key, q, Arc::clone(&answer));
+                shared.cache.insert(key, compiled, Arc::clone(&answer));
             }
         }
         Ok(QueryResult {
@@ -546,86 +548,39 @@ impl Engine {
         Ok(q.evaluate_from_governed(&db, source, &gov)?)
     }
 
-    /// Serve a batch: queries are deduplicated by cache key, ordered so
-    /// that (heuristically) subsuming queries evaluate first — seeding the
-    /// cache for the rest — and each evaluation fans out across the pool.
+    /// Serve a batch: queries are deduplicated by cache key, the first
+    /// query of each key runs in input order (each one's answer seeds the
+    /// cache for the rest), and each evaluation fans out across the pool.
     pub fn run_batch(&self, queries: &[TwoRpq]) -> BatchReport {
         let mut span = span::start("engine.batch");
         let batch_start = std::time::Instant::now();
         let stats_before = self.cache_stats();
-        // Group by cache key.
         let keys: Vec<String> = {
-            let mut shared = self.shared();
-            let Shared { alphabet, cache } = &mut *shared;
-            queries.iter().map(|q| cache.key_of(q, alphabet)).collect()
+            let shared = self.shared();
+            queries
+                .iter()
+                .map(|q| shared.cache.key_of(q, &shared.alphabet))
+                .collect()
         };
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new(); // (rep, members)
-        for (i, key) in keys.iter().enumerate() {
-            match groups.iter_mut().find(|(rep, _)| &keys[*rep] == key) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((i, Vec::new())),
-            }
-        }
-        // Probe pairwise containment among representatives and evaluate
-        // queries that subsume more of the batch first. The probes reuse
-        // the cache's budgeted facade, so an adversarial batch degrades to
-        // arbitrary order, not to a stall.
-        let alphabet = self.alphabet();
-        let probe_limits = self.config.cache.probe_limits.clone();
-        let mut rank: Vec<(usize, usize)> = groups
-            .iter()
-            .enumerate()
-            .map(|(gi, (rep, _))| {
-                let subsumes = groups
-                    .iter()
-                    .filter(|(other, _)| {
-                        *other != *rep
-                            && rq_core::containment::facade::check_quick(
-                                &queries[*other],
-                                &queries[*rep],
-                                &alphabet,
-                                &probe_limits,
-                            )
-                            .is_contained()
-                    })
-                    .count();
-                (gi, subsumes)
-            })
-            .collect();
-        rank.sort_by_key(|&(gi, subsumes)| (std::cmp::Reverse(subsumes), gi));
-
-        let mut items: Vec<Option<BatchItem>> = (0..queries.len()).map(|_| None).collect();
-        for (gi, _) in rank {
-            let (rep, members) = &groups[gi];
-            let result = self.run(&queries[*rep]);
-            let (disposition, outcome) = match result {
-                Ok(r) => (r.disposition, Ok(r.answer)),
-                Err(e) => (Disposition::Miss, Err(e)),
+        let mut items: Vec<BatchItem> = Vec::with_capacity(queries.len());
+        for (index, key) in keys.into_iter().enumerate() {
+            let (disposition, outcome) = match items.iter().find(|item| item.key == key) {
+                Some(first) => (Disposition::Deduped, first.outcome.clone()),
+                None => match self.run(&queries[index]) {
+                    Ok(r) => (r.disposition, Ok(r.answer)),
+                    Err(e) => (Disposition::Miss, Err(e)),
+                },
             };
-            for &m in members {
-                items[m] = Some(BatchItem {
-                    index: m,
-                    key: keys[m].clone(),
-                    disposition: Disposition::Deduped,
-                    outcome: match &outcome {
-                        Ok(a) => Ok(Arc::clone(a)),
-                        Err(e) => Err(e.clone()),
-                    },
-                });
-            }
-            items[*rep] = Some(BatchItem {
-                index: *rep,
-                key: keys[*rep].clone(),
+            items.push(BatchItem {
+                index,
+                key,
                 disposition,
                 outcome,
             });
         }
         let after = self.cache_stats();
         let report = BatchReport {
-            items: items
-                .into_iter()
-                .map(|i| i.expect("every index assigned"))
-                .collect(),
+            items,
             stats: CacheStats {
                 exact: after.exact - stats_before.exact,
                 equivalent: after.equivalent - stats_before.equivalent,
@@ -971,24 +926,24 @@ mod tests {
     }
 
     #[test]
-    fn batch_dedups_and_orders_subsumers_first() {
+    fn batch_dedups_in_input_order() {
         let eng = engine(2);
         let texts = ["a+", "(a|b)+", "a+", "b+"];
         let queries: Vec<TwoRpq> = texts.iter().map(|t| eng.parse(t).unwrap()).collect();
         let report = eng.run_batch(&queries);
         assert_eq!(report.items.len(), 4);
         assert_eq!(report.items[2].disposition, Disposition::Deduped);
-        // (a|b)+ evaluated first (it subsumes both others), so a+ and b+
-        // are subsumption hits.
+        // Input order: a+ and (a|b)+ both evaluate (a+ cannot answer its
+        // superset), and b+ is then a subsumption hit on (a|b)+.
+        assert_eq!(report.items[0].disposition, Disposition::Miss);
         assert_eq!(report.items[1].disposition, Disposition::Miss);
-        assert_eq!(report.items[0].disposition, Disposition::Subsumed);
         assert_eq!(report.items[3].disposition, Disposition::Subsumed);
         for (i, item) in report.items.iter().enumerate() {
             let expect = queries[i].evaluate(&eng.db());
             assert_eq!(**item.outcome.as_ref().unwrap(), expect, "{}", texts[i]);
         }
-        assert_eq!(report.stats.misses, 1);
-        assert_eq!(report.stats.subsumed, 2);
+        assert_eq!(report.stats.misses, 2);
+        assert_eq!(report.stats.subsumed, 1);
     }
 
     #[test]

@@ -62,10 +62,14 @@ fn eviction_never_drops_the_probe_window() {
     for step in 0..200 {
         let q = &queries[rng.below(queries.len())];
         let key = cache.key_of(q, &al);
-        match cache.lookup(q, &key, &al) {
+        match cache.lookup(&cache.compile(q, &al), &key, &al) {
             Lookup::Exact(_) => touch(&mut recency, &key),
             _ => {
-                cache.insert(key.clone(), q, Arc::new(q.evaluate(&db)));
+                cache.insert(
+                    key.clone(),
+                    cache.compile(q, &al),
+                    Arc::new(q.evaluate(&db)),
+                );
                 touch(&mut recency, &key);
             }
         }
@@ -171,12 +175,17 @@ fn starved_probes_count_as_exhausted_not_miss_evidence() {
         probe_limits: Limits::unlimited().with_fuel(1),
         ..CacheConfig::default()
     });
-    let big = TwoRpq::parse("(a|b)+", &mut al).unwrap();
+    // The inverse letter keeps the pair out of the simple fragment, so
+    // only the metered exact stage can decide it.
+    let big = TwoRpq::parse("(a|a-)+", &mut al).unwrap();
     let small = TwoRpq::parse("a+", &mut al).unwrap();
     let kb = cache.key_of(&big, &al);
-    cache.insert(kb, &big, Arc::new(big.evaluate(&db)));
+    cache.insert(kb, cache.compile(&big, &al), Arc::new(big.evaluate(&db)));
     let ks = cache.key_of(&small, &al);
-    assert!(matches!(cache.lookup(&small, &ks, &al), Lookup::Miss));
+    assert!(matches!(
+        cache.lookup(&cache.compile(&small, &al), &ks, &al),
+        Lookup::Miss
+    ));
     let stats = cache.stats();
     assert_eq!(stats.misses, 1);
     assert_eq!(
@@ -187,11 +196,34 @@ fn starved_probes_count_as_exhausted_not_miss_evidence() {
     // earlier miss was a budget artifact rather than non-containment.
     let mut roomy = SemanticCache::new(CacheConfig::default());
     let kb = roomy.key_of(&big, &al);
-    roomy.insert(kb, &big, Arc::new(big.evaluate(&db)));
+    roomy.insert(kb, roomy.compile(&big, &al), Arc::new(big.evaluate(&db)));
     let ks = roomy.key_of(&small, &al);
     assert!(matches!(
-        roomy.lookup(&small, &ks, &al),
+        roomy.lookup(&roomy.compile(&small, &al), &ks, &al),
         Lookup::Subsumed { .. }
     ));
     assert_eq!(roomy.stats().probe_exhausted, 0);
+}
+
+#[test]
+fn starved_probes_still_decide_simple_pairs_through_compiled_artefacts() {
+    // Entries keep their compiled keys and simple-fragment classes, so a
+    // probe on a simple pair spends no fuel: the stored keys differ and
+    // the unmetered simple rung proves `a+ ⊑ (a|b)+` even at fuel 1.
+    let db = generate::random_gnm(10, 20, &["a", "b"], 42);
+    let mut al = db.alphabet().clone();
+    let mut cache = SemanticCache::new(CacheConfig {
+        probe_limits: Limits::unlimited().with_fuel(1),
+        ..CacheConfig::default()
+    });
+    let big = TwoRpq::parse("(a|b)+", &mut al).unwrap();
+    let small = TwoRpq::parse("a+", &mut al).unwrap();
+    let kb = cache.key_of(&big, &al);
+    cache.insert(kb, cache.compile(&big, &al), Arc::new(big.evaluate(&db)));
+    let ks = cache.key_of(&small, &al);
+    match cache.lookup(&cache.compile(&small, &al), &ks, &al) {
+        Lookup::Subsumed { superset, .. } => assert!(small.evaluate(&db).is_subset(&superset)),
+        other => panic!("expected a subsumption hit, got {}", other.kind()),
+    }
+    assert_eq!(cache.stats().probe_exhausted, 0, "{}", cache.stats());
 }
