@@ -2,9 +2,9 @@
 //!
 //! Two claims priced here:
 //!
-//! 1. **Cold start.** Opening a sharded binary snapshot (CSR adjacency,
-//!    per-section CRCs, parallel shard decode) beats re-parsing the text
-//!    format for the same graph. Both paths are timed interleaved —
+//! 1. **Cold start.** Opening a sharded binary snapshot (CSR adjacency
+//!    loaded straight into the forward rows, per-section CRCs) beats
+//!    re-parsing the text format for the same graph. Both paths are timed interleaved —
 //!    text pass, snapshot pass, repeat — and compared by median, so
 //!    machine drift cancels.
 //! 2. **Ingest while serving.** On the E14 closed-loop driver, a
@@ -54,7 +54,7 @@ fn main() {
     let snap_bytes = std::fs::metadata(dir.join("snapshot.rqs")).unwrap().len();
     let text_bytes = std::fs::metadata(&text_path).unwrap().len();
 
-    let (mut t_text, mut t_snap, mut t_serial) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut t_text, mut t_snap) = (Vec::new(), Vec::new());
     for _ in 0..rounds {
         let t0 = Instant::now();
         let content = std::fs::read_to_string(&text_path).unwrap();
@@ -64,30 +64,17 @@ fn main() {
         let t0 = Instant::now();
         black_box(StorageHandle::open(&dir, config.clone()).unwrap());
         t_snap.push(t0.elapsed().as_secs_f64());
-
-        let serial = StorageConfig {
-            parallel_load: false,
-            ..config.clone()
-        };
-        let t0 = Instant::now();
-        black_box(StorageHandle::open(&dir, serial).unwrap());
-        t_serial.push(t0.elapsed().as_secs_f64());
     }
-    let (m_text, m_snap, m_serial) = (median(t_text), median(t_snap), median(t_serial));
+    let (m_text, m_snap) = (median(t_text), median(t_snap));
     println!(
-        "  text parse       : {:8.1} ms  ({text_bytes} bytes)",
+        "  text parse: {:8.1} ms  ({text_bytes} bytes)",
         m_text * 1e3
     );
     println!(
-        "  snapshot parallel: {:8.1} ms  ({snap_bytes} bytes, {} shards)  {:.2}x faster",
+        "  snapshot  : {:8.1} ms  ({snap_bytes} bytes, {} shards)  {:.2}x faster",
         m_snap * 1e3,
         config.shards,
         m_text / m_snap
-    );
-    println!(
-        "  snapshot serial  : {:8.1} ms                         {:.2}x faster",
-        m_serial * 1e3,
-        m_text / m_serial
     );
 
     // -- Part 2: ingest while serving --------------------------------------

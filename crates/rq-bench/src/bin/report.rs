@@ -356,11 +356,11 @@ fn e9() {
         let g = rq_graph::generate::layered_dag(layers, width, 2, "e", 9);
         let mut edb = rq_datalog::FactDb::new();
         let e = g.alphabet().get("e").unwrap();
-        for &(s, d) in g.edges(e) {
+        for (s, d) in g.edges(e) {
             edb.add_fact("e", &[&format!("n{}", s.0), &format!("n{}", d.0)]);
         }
         for n in g.nodes() {
-            if g.out_edges(n).is_empty() {
+            if g.step(n, Letter::forward(e)).next().is_none() {
                 edb.add_fact("p", &[&format!("n{}", n.0)]);
             }
         }

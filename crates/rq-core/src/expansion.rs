@@ -187,7 +187,7 @@ mod tests {
         let words = vec![vec![Letter::backward(a)]];
         let e = expand(&q, &words, &al).unwrap();
         // Edge points from y's node to x's node.
-        let edges = e.db.edges(a);
+        let edges: Vec<_> = e.db.edges(a).collect();
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0], (e.head_nodes[1], e.head_nodes[0]));
     }

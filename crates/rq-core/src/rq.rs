@@ -420,13 +420,12 @@ fn eval_expr(expr: &RqExpr, db: &GraphDb) -> (Cols, Rel) {
             if from == to {
                 let rel = db
                     .edges(*label)
-                    .iter()
                     .filter(|(x, y)| x == y)
-                    .map(|&(x, _)| vec![x])
+                    .map(|(x, _)| vec![x])
                     .collect();
                 (vec![from.clone()], rel)
             } else {
-                let rel = db.edges(*label).iter().map(|&(x, y)| vec![x, y]).collect();
+                let rel = db.edges(*label).map(|(x, y)| vec![x, y]).collect();
                 (vec![from.clone(), to.clone()], rel)
             }
         }

@@ -30,7 +30,7 @@ pub fn graphdb_to_factdb(db: &GraphDb) -> FactDb {
     }
     for label in db.alphabet().labels() {
         let lname = db.alphabet().name(label).to_owned();
-        for &(s, d) in db.edges(label) {
+        for (s, d) in db.edges(label) {
             out.add_fact(&lname, &[&node_constant(db, s), &node_constant(db, d)]);
         }
     }

@@ -24,14 +24,9 @@ use std::sync::{Arc, Mutex, RwLock};
 /// Engine construction knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads for parallel evaluation (clamped to
-    /// `1 ..= max_threads`).
+    /// Worker threads for parallel evaluation (`1 ..=`
+    /// [`DEFAULT_MAX_THREADS`]).
     pub threads: usize,
-    /// Upper bound on `threads`, whether configured explicitly, detected
-    /// from the machine, or set through `RQ_THREADS`. Guards against a
-    /// huge `available_parallelism` (or a fat-fingered override) turning
-    /// one engine into hundreds of OS threads.
-    pub max_threads: usize,
     /// Per-worker budget for one query evaluation. Fuel is metered per
     /// worker; the wall-clock deadline spans the whole query.
     pub limits: Limits,
@@ -44,7 +39,10 @@ pub struct EngineConfig {
     pub preflight: bool,
 }
 
-/// Default cap on detected worker threads ([`EngineConfig::max_threads`]).
+/// Upper bound on [`EngineConfig::threads`], whether configured
+/// explicitly, detected from the machine, or set through `RQ_THREADS`.
+/// Guards against a huge `available_parallelism` (or a fat-fingered
+/// override) turning one engine into hundreds of OS threads.
 pub const DEFAULT_MAX_THREADS: usize = 64;
 
 /// Worker-thread count for [`EngineConfig::default`]: the `RQ_THREADS`
@@ -68,7 +66,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: detect_threads(DEFAULT_MAX_THREADS),
-            max_threads: DEFAULT_MAX_THREADS,
             limits: Limits::unlimited(),
             cache: CacheConfig::default(),
             preflight: true,
@@ -78,17 +75,12 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Validate the configuration, returning a structured error instead
-    /// of panicking (or silently misbehaving) later. Checks that the
-    /// thread cap is non-zero, that `threads` respects it, and that the
+    /// of panicking (or silently misbehaving) later. Checks that `threads`
+    /// is in `1 ..=` [`DEFAULT_MAX_THREADS`], and that the
     /// cache is not configured to probe with zero candidates *and* a
     /// zero-capacity store (a useless but historically panic-free combo
     /// is allowed; a zero cap alone is fine — it disables caching).
     pub fn validate(&self) -> Result<(), EngineError> {
-        if self.max_threads == 0 {
-            return Err(EngineError::InvalidInput {
-                message: "config: max_threads must be at least 1".into(),
-            });
-        }
         if self.threads == 0 {
             return Err(EngineError::InvalidInput {
                 message: "config: threads must be at least 1 (use RQ_THREADS or \
@@ -96,11 +88,11 @@ impl EngineConfig {
                     .into(),
             });
         }
-        if self.threads > self.max_threads {
+        if self.threads > DEFAULT_MAX_THREADS {
             return Err(EngineError::InvalidInput {
                 message: format!(
-                    "config: threads ({}) exceeds max_threads ({})",
-                    self.threads, self.max_threads
+                    "config: threads ({}) exceeds the cap of {DEFAULT_MAX_THREADS}",
+                    self.threads
                 ),
             });
         }
@@ -227,7 +219,7 @@ impl Engine {
         Engine {
             db: RwLock::new(Arc::new(db)),
             epoch: AtomicU64::new(0),
-            pool: WorkerPool::new(config.threads.clamp(1, config.max_threads.max(1))),
+            pool: WorkerPool::new(config.threads.clamp(1, DEFAULT_MAX_THREADS)),
             shared: Mutex::new(Shared {
                 alphabet,
                 cache: SemanticCache::new(config.cache.clone()),
@@ -1098,22 +1090,18 @@ mod tests {
             Err(EngineError::InvalidInput { .. })
         ));
         let over = EngineConfig {
-            threads: 9,
-            max_threads: 4,
+            threads: DEFAULT_MAX_THREADS + 1,
             ..EngineConfig::default()
         };
         assert!(matches!(
             over.validate(),
             Err(EngineError::InvalidInput { .. })
         ));
-        let no_cap = EngineConfig {
-            max_threads: 0,
+        let at_cap = EngineConfig {
+            threads: DEFAULT_MAX_THREADS,
             ..EngineConfig::default()
         };
-        assert!(matches!(
-            no_cap.validate(),
-            Err(EngineError::InvalidInput { .. })
-        ));
+        assert!(at_cap.validate().is_ok());
     }
 
     #[test]
@@ -1124,7 +1112,7 @@ mod tests {
         assert!(detect_threads(usize::MAX) >= 1);
         // The default config is always internally consistent.
         let d = EngineConfig::default();
-        assert!(d.threads >= 1 && d.threads <= d.max_threads);
+        assert!(d.threads >= 1 && d.threads <= DEFAULT_MAX_THREADS);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use rq_automata::{Alphabet, LabelId, Letter};
 use std::collections::HashMap;
-use std::collections::HashSet;
 
 /// Identifier of an object (node) in a [`GraphDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -16,41 +15,49 @@ impl NodeId {
     }
 }
 
+/// Adjacency rows for one direction: `rows[label][node]` lists the
+/// neighbours of `node` along `label` in insertion order. Both levels grow
+/// lazily, so an index past the end reads as an empty row.
+type Rows = Vec<Vec<Vec<NodeId>>>;
+
+fn row(rows: &Rows, label: LabelId, node: NodeId) -> &[NodeId] {
+    rows.get(label.index())
+        .and_then(|per_node| per_node.get(node.index()))
+        .map_or(&[], Vec::as_slice)
+}
+
+fn row_mut(rows: &mut Rows, label: LabelId, node: NodeId) -> &mut Vec<NodeId> {
+    if rows.len() <= label.index() {
+        rows.resize_with(label.index() + 1, Vec::new);
+    }
+    let per_node = &mut rows[label.index()];
+    if per_node.len() <= node.index() {
+        per_node.resize_with(node.index() + 1, Vec::new);
+    }
+    &mut per_node[node.index()]
+}
+
 /// A finite directed graph with edges labeled from a finite alphabet Σ.
 ///
 /// "Each node represents an object and an edge from object x to object y
 /// labeled by r, denoted r(x, y), represents the fact that relation r holds
-/// between x and y" (§3.1). The store keeps forward and backward adjacency
-/// so two-way queries can traverse `r⁻` edges at the same cost as `r`, plus
-/// a per-label edge list so a label can be instantiated as a binary
-/// relation (`r(D)`).
+/// between x and y" (§3.1). The only edge index is one forward row
+/// (`r`-successors) and one backward row (`r`-predecessors) per label and
+/// node, so one step of `r` or `r⁻` from a node costs its `r`-degree — the
+/// assumption behind the §3.1 bound `O(|V|·(|V|+|E|)·|Q|)`. A label's
+/// forward rows, read source by source, are the relation `r(D)`.
 ///
 /// "The edge alphabet of a graph database is simply part of the data and
 /// can be changed simply by updating the database" — labels (and nodes) are
 /// interned on first use.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GraphDb {
     alphabet: Alphabet,
     node_names: Vec<Option<String>>,
     node_index: HashMap<String, NodeId>,
-    out_edges: Vec<Vec<(LabelId, NodeId)>>,
-    in_edges: Vec<Vec<(LabelId, NodeId)>>,
-    edges_by_label: Vec<Vec<(NodeId, NodeId)>>,
-    edge_set: HashSet<(NodeId, LabelId, NodeId)>,
-}
-
-impl Default for GraphDb {
-    fn default() -> Self {
-        GraphDb {
-            alphabet: Alphabet::new(),
-            node_names: Vec::new(),
-            node_index: HashMap::new(),
-            out_edges: Vec::new(),
-            in_edges: Vec::new(),
-            edges_by_label: Vec::new(),
-            edge_set: HashSet::new(),
-        }
-    }
+    fwd: Rows,
+    bwd: Rows,
+    num_edges: usize,
 }
 
 impl GraphDb {
@@ -61,11 +68,10 @@ impl GraphDb {
 
     /// An empty database over a pre-built alphabet.
     pub fn with_alphabet(alphabet: Alphabet) -> Self {
-        let mut db = Self::new();
-        let labels = alphabet.len();
-        db.alphabet = alphabet;
-        db.edges_by_label = vec![Vec::new(); labels];
-        db
+        GraphDb {
+            alphabet,
+            ..Self::default()
+        }
     }
 
     /// Intern a named node (idempotent).
@@ -73,11 +79,9 @@ impl GraphDb {
         if let Some(&id) = self.node_index.get(name) {
             return id;
         }
-        let id = NodeId(self.node_names.len() as u32);
-        self.node_names.push(Some(name.to_owned()));
+        let id = self.add_node();
+        self.node_names[id.index()] = Some(name.to_owned());
         self.node_index.insert(name.to_owned(), id);
-        self.out_edges.push(Vec::new());
-        self.in_edges.push(Vec::new());
         id
     }
 
@@ -85,18 +89,12 @@ impl GraphDb {
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.node_names.len() as u32);
         self.node_names.push(None);
-        self.out_edges.push(Vec::new());
-        self.in_edges.push(Vec::new());
         id
     }
 
     /// Intern an edge label (idempotent).
     pub fn label(&mut self, name: &str) -> LabelId {
-        let id = self.alphabet.intern(name);
-        while self.edges_by_label.len() < self.alphabet.len() {
-            self.edges_by_label.push(Vec::new());
-        }
-        id
+        self.alphabet.intern(name)
     }
 
     /// Add the edge `label(src, dst)`. Duplicate edges are ignored — a
@@ -104,77 +102,69 @@ impl GraphDb {
     /// the edge was new.
     pub fn add_edge(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
         assert!(src.index() < self.num_nodes() && dst.index() < self.num_nodes());
-        assert!(
-            label.index() < self.edges_by_label.len(),
-            "label not interned"
-        );
-        if !self.edge_set.insert((src, label, dst)) {
+        assert!(label.index() < self.alphabet.len(), "label not interned");
+        if self.has_edge(src, label, dst) {
             return false;
         }
-        self.out_edges[src.index()].push((label, dst));
-        self.in_edges[dst.index()].push((label, src));
-        self.edges_by_label[label.index()].push((src, dst));
+        row_mut(&mut self.fwd, label, src).push(dst);
+        row_mut(&mut self.bwd, label, dst).push(src);
+        self.num_edges += 1;
         true
     }
 
-    /// Remove the edge `label(src, dst)`. Returns whether the edge was
-    /// present — removing an absent edge is a no-op, so a delta log that
-    /// re-removes an edge (or removes one that never committed) replays
-    /// idempotently.
+    /// Remove the edge `label(src, dst)` from its two rows, in
+    /// O(`r`-degree). Returns whether the edge was present — removing an
+    /// absent edge is a no-op, so a delta log that re-removes an edge (or
+    /// removes one that never committed) replays idempotently.
     pub fn remove_edge(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        if !self.edge_set.remove(&(src, label, dst)) {
+        let Some(i) = row(&self.fwd, label, src).iter().position(|&d| d == dst) else {
             return false;
-        }
-        let out = &mut self.out_edges[src.index()];
-        if let Some(i) = out.iter().position(|&(l, d)| l == label && d == dst) {
-            out.remove(i);
-        }
-        let inn = &mut self.in_edges[dst.index()];
-        if let Some(i) = inn.iter().position(|&(l, s)| l == label && s == src) {
-            inn.remove(i);
-        }
-        let rel = &mut self.edges_by_label[label.index()];
-        if let Some(i) = rel.iter().position(|&(s, d)| s == src && d == dst) {
-            rel.remove(i);
-        }
+        };
+        self.fwd[label.index()][src.index()].remove(i);
+        let back = &mut self.bwd[label.index()][dst.index()];
+        let j = back.iter().position(|&s| s == src);
+        back.remove(j.expect("backward row mirrors the forward row"));
+        self.num_edges -= 1;
         true
     }
 
     /// Build a database directly from its serialized columns: the label
-    /// alphabet, the node-name table, and one `(src, dst)` pair list per
-    /// label (indexed by `LabelId`). This is the bulk-load path the
-    /// snapshot loader uses: adjacency and the hash indexes are assembled
-    /// in one pass, instead of per-edge.
+    /// alphabet, the node-name table, and the forward rows
+    /// (`forward[label][src]` = the `label`-successors of `src`). This is
+    /// the bulk-load path the snapshot loader uses; the backward rows are
+    /// one transpose of the forward ones.
     ///
-    /// Duplicate pairs within a label are collapsed (a label denotes a
-    /// relation). Panics if a pair references a node out of range or if
-    /// `edges_by_label` is longer than the alphabet.
+    /// Duplicates within a row are collapsed (a label denotes a relation),
+    /// keeping first occurrences in order. Panics if a row references a
+    /// node out of range or if there are more labels than the alphabet
+    /// holds.
     pub fn from_columns(
         alphabet: Alphabet,
         node_names: Vec<Option<String>>,
-        mut edges_by_label: Vec<Vec<(NodeId, NodeId)>>,
+        mut forward: Vec<Vec<Vec<NodeId>>>,
     ) -> GraphDb {
         assert!(
-            edges_by_label.len() <= alphabet.len(),
-            "more edge lists than labels"
+            forward.len() <= alphabet.len(),
+            "more edge rows than labels"
         );
-        edges_by_label.resize(alphabet.len(), Vec::new());
         let n = node_names.len();
-        let mut out_edges = vec![Vec::new(); n];
-        let mut in_edges = vec![Vec::new(); n];
-        let mut edge_set = HashSet::new();
-        for (l, pairs) in edges_by_label.iter_mut().enumerate() {
-            let label = LabelId(l as u32);
-            pairs.retain(|&(s, d)| {
-                assert!(
-                    s.index() < n && d.index() < n,
-                    "edge references node out of range"
-                );
-                edge_set.insert((s, label, d))
-            });
-            for &(s, d) in pairs.iter() {
-                out_edges[s.index()].push((label, d));
-                in_edges[d.index()].push((label, s));
+        let mut bwd = Rows::new();
+        let mut num_edges = 0;
+        // `kept_by[d]` = the last row that kept destination `d`.
+        let mut kept_by = vec![usize::MAX; n];
+        let mut row_id = 0;
+        for (l, per_node) in forward.iter_mut().enumerate() {
+            assert!(per_node.len() <= n, "edge row for a node out of range");
+            for (s, dsts) in per_node.iter_mut().enumerate() {
+                dsts.retain(|&d| {
+                    assert!(d.index() < n, "edge references node out of range");
+                    std::mem::replace(&mut kept_by[d.index()], row_id) != row_id
+                });
+                row_id += 1;
+                for &d in dsts.iter() {
+                    row_mut(&mut bwd, LabelId(l as u32), d).push(NodeId(s as u32));
+                }
+                num_edges += dsts.len();
             }
         }
         let node_index = node_names
@@ -186,10 +176,9 @@ impl GraphDb {
             alphabet,
             node_names,
             node_index,
-            out_edges,
-            in_edges,
-            edges_by_label,
-            edge_set,
+            fwd: forward,
+            bwd,
+            num_edges,
         }
     }
 
@@ -216,15 +205,13 @@ impl GraphDb {
         }
         if superset.len() > self.alphabet.len() {
             self.alphabet = superset.clone();
-            while self.edges_by_label.len() < self.alphabet.len() {
-                self.edges_by_label.push(Vec::new());
-            }
         }
     }
 
-    /// Whether the edge `label(src, dst)` is present.
+    /// Whether the edge `label(src, dst)` is present: a scan of `src`'s
+    /// forward `label` row.
     pub fn has_edge(&self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        self.edge_set.contains(&(src, label, dst))
+        row(&self.fwd, label, src).contains(&dst)
     }
 
     /// Number of nodes.
@@ -234,7 +221,7 @@ impl GraphDb {
 
     /// Number of edges (distinct labeled pairs).
     pub fn num_edges(&self) -> usize {
-        self.edge_set.len()
+        self.num_edges
     }
 
     /// All nodes.
@@ -242,35 +229,23 @@ impl GraphDb {
         (0..self.node_names.len() as u32).map(NodeId)
     }
 
-    /// The relation `r(D)` for label `r`: all `(x, y)` with an `r`-edge.
-    pub fn edges(&self, label: LabelId) -> &[(NodeId, NodeId)] {
-        self.edges_by_label
-            .get(label.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// The relation `r(D)` for label `r`: all `(x, y)` with an `r`-edge,
+    /// source-major (sources ascending, each source's targets in insertion
+    /// order).
+    pub fn edges(&self, label: LabelId) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        let per_node = self.fwd.get(label.index()).map_or(&[][..], Vec::as_slice);
+        per_node.iter().enumerate().flat_map(|(s, dsts)| {
+            let src = NodeId(s as u32);
+            dsts.iter().map(move |&d| (src, d))
+        })
     }
 
     /// Nodes reachable from `node` by one step of `letter`: along a
     /// forward `r`-edge for `r`, along a *backward* `r`-edge for `r⁻`.
-    pub fn step(&self, node: NodeId, letter: Letter) -> impl Iterator<Item = NodeId> + '_ {
-        let adj = if letter.inverse {
-            &self.in_edges[node.index()]
-        } else {
-            &self.out_edges[node.index()]
-        };
-        adj.iter()
-            .filter(move |&&(l, _)| l == letter.label)
-            .map(|&(_, n)| n)
-    }
-
-    /// Out-edges of `node` as `(label, target)` pairs.
-    pub fn out_edges(&self, node: NodeId) -> &[(LabelId, NodeId)] {
-        &self.out_edges[node.index()]
-    }
-
-    /// In-edges of `node` as `(label, source)` pairs.
-    pub fn in_edges(&self, node: NodeId) -> &[(LabelId, NodeId)] {
-        &self.in_edges[node.index()]
+    /// Reads one row, in the order its edges were added.
+    pub fn step(&self, node: NodeId, letter: Letter) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        let rows = if letter.inverse { &self.bwd } else { &self.fwd };
+        row(rows, letter.label, node).iter().copied()
     }
 
     /// The database's alphabet (schema).
@@ -296,9 +271,13 @@ impl GraphDb {
         self.node_index.get(name).copied()
     }
 
-    /// Total degree (in + out) of `node`.
+    /// Total degree (in + out, over every label) of `node`.
     pub fn degree(&self, node: NodeId) -> usize {
-        self.out_edges[node.index()].len() + self.in_edges[node.index()].len()
+        self.fwd
+            .iter()
+            .chain(&self.bwd)
+            .map(|per_node| per_node.get(node.index()).map_or(0, Vec::len))
+            .sum()
     }
 }
 
@@ -334,7 +313,7 @@ mod tests {
         let (mut db, a, b, _, r, _) = tiny();
         assert!(!db.add_edge(a, r, b));
         assert_eq!(db.num_edges(), 3);
-        assert_eq!(db.edges(r).len(), 2);
+        assert_eq!(db.edges(r).count(), 2);
     }
 
     #[test]
@@ -352,8 +331,8 @@ mod tests {
     #[test]
     fn relations_are_materialized_per_label() {
         let (db, a, b, c, r, s) = tiny();
-        assert_eq!(db.edges(r), &[(a, b), (b, c)]);
-        assert_eq!(db.edges(s), &[(a, c)]);
+        assert_eq!(db.edges(r).collect::<Vec<_>>(), [(a, b), (b, c)]);
+        assert_eq!(db.edges(s).collect::<Vec<_>>(), [(a, c)]);
     }
 
     #[test]
@@ -374,7 +353,7 @@ mod tests {
         assert!(db.remove_edge(a, r, b));
         assert!(!db.has_edge(a, r, b));
         assert_eq!(db.num_edges(), 2);
-        assert_eq!(db.edges(r), &[(b, c)]);
+        assert_eq!(db.edges(r).collect::<Vec<_>>(), [(b, c)]);
         assert_eq!(db.step(a, Letter::forward(r)).count(), 0);
         assert_eq!(db.step(b, Letter::backward(r)).count(), 0);
         // Removing again is an idempotent no-op.
@@ -395,16 +374,18 @@ mod tests {
                 Some("b".to_owned()),
                 Some("c".to_owned()),
             ],
-            vec![vec![(a, b), (b, c), (a, b)], vec![(a, c)]],
+            vec![vec![vec![b, b], vec![c]], vec![vec![c]]],
         );
         assert_eq!(bulk.num_nodes(), 3);
         assert_eq!(bulk.num_edges(), 3, "duplicate pair collapses");
-        assert_eq!(bulk.edges(r), db.edges(r));
-        assert_eq!(bulk.edges(s), db.edges(s));
+        assert!(bulk.edges(r).eq(db.edges(r)));
+        assert!(bulk.edges(s).eq(db.edges(s)));
         assert_eq!(bulk.find_node("b"), Some(b));
         assert!(bulk.has_edge(a, s, c));
         let fwd: Vec<_> = bulk.step(a, Letter::forward(r)).collect();
         assert_eq!(fwd, vec![b]);
+        let bwd: Vec<_> = bulk.step(c, Letter::backward(r)).collect();
+        assert_eq!(bwd, vec![b]);
     }
 
     #[test]

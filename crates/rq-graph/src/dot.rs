@@ -39,7 +39,7 @@ pub fn to_dot(db: &GraphDb, options: &DotOptions) -> String {
     }
     for label in db.alphabet().labels() {
         let lname = db.alphabet().name(label).to_owned();
-        for &(s, d) in db.edges(label) {
+        for (s, d) in db.edges(label) {
             let _ = writeln!(
                 out,
                 "  n{} -> n{} [label=\"{}\"];",

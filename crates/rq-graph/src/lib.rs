@@ -7,8 +7,8 @@
 //! elements from a finite alphabet Σ"; it "can be seen as a (finite)
 //! relational structure over the set Σ of binary relational symbols".
 //!
-//! * [`db`] — the [`GraphDb`] store with forward *and* backward adjacency
-//!   (2RPQs navigate edges in both directions);
+//! * [`db`] — the [`GraphDb`] store with per-label forward *and* backward
+//!   adjacency rows (2RPQs navigate edges in both directions);
 //! * [`frontier`] — governed product-automaton BFS steps, the shared
 //!   substrate of the sequential evaluator (`rq-core`) and the parallel
 //!   serving engine (`rq-engine`);

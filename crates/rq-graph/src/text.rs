@@ -79,7 +79,7 @@ pub fn to_text(db: &GraphDb) -> String {
     }
     for label in db.alphabet().labels() {
         let lname = db.alphabet().name(label).to_owned();
-        for &(s, d) in db.edges(label) {
+        for (s, d) in db.edges(label) {
             out.push_str(&format!("{} {} {}\n", name(s), lname, name(d)));
         }
     }
@@ -122,13 +122,11 @@ mod tests {
             let l2 = db2.alphabet().get(lname).unwrap();
             let mut e1: Vec<(String, String)> = db
                 .edges(label)
-                .iter()
-                .map(|&(s, d)| (db.display_node(s), db.display_node(d)))
+                .map(|(s, d)| (db.display_node(s), db.display_node(d)))
                 .collect();
             let mut e2: Vec<(String, String)> = db2
                 .edges(l2)
-                .iter()
-                .map(|&(s, d)| (db2.display_node(s), db2.display_node(d)))
+                .map(|(s, d)| (db2.display_node(s), db2.display_node(d)))
                 .collect();
             e1.sort();
             e2.sort();

@@ -1583,6 +1583,7 @@ mod tests {
 
     #[test]
     fn ingest_with_store_persists_across_reopen() {
+        use rq_automata::Letter;
         use rq_storage::{StorageConfig, StorageHandle};
         let dir = temp_store_dir();
         let mut db = GraphDb::new();
@@ -1613,8 +1614,9 @@ mod tests {
         assert_eq!(report.replayed, 2);
         let (v, w) = (db.find_node("v").unwrap(), db.find_node("w").unwrap());
         let r = db.alphabet().get("r").unwrap();
-        assert_eq!(db.out_edges(v), &[(r, w)]);
-        assert!(db.out_edges(db.find_node("u").unwrap()).is_empty());
+        assert_eq!(db.step(v, Letter::forward(r)).collect::<Vec<_>>(), [w]);
+        assert_eq!(db.num_edges(), 1);
+        assert_eq!(db.degree(db.find_node("u").unwrap()), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

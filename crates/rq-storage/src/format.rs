@@ -25,15 +25,16 @@
 //!   label a CSR over sources in `[lo, hi)`: `hi−lo+1` row offsets
 //!   (`u32`), then `offsets[hi−lo]` destination node ids (`u32`).
 //!
-//! Shards partition the node-id space into contiguous ranges, so the
-//! loader can decode them on independent threads and concatenate the
-//! results without reshuffling. Every section is independently
+//! Shards partition the node-id space into contiguous ranges, and each
+//! label's CSR rows are the database's forward rows verbatim, so the
+//! encoder writes rows as they are and the loader appends them shard by
+//! shard without reshuffling. Every section is independently
 //! checksummed; the loader verifies the superblock CRC before trusting
 //! the table and each section CRC before decoding it, so a truncated file
 //! or a flipped bit fails closed as [`StorageError::Corrupt`].
 
 use crate::{crc32, StorageConfig, StorageError};
-use rq_automata::Alphabet;
+use rq_automata::{Alphabet, Letter};
 use rq_graph::{GraphDb, NodeId};
 use std::path::Path;
 
@@ -159,36 +160,17 @@ fn encode_edges(db: &GraphDb, lo: u32, hi: u32) -> Vec<u8> {
     put_u32(&mut buf, lo);
     put_u32(&mut buf, hi);
     put_u32(&mut buf, db.alphabet().len() as u32);
-    let rows = (hi - lo) as usize;
     for label in db.alphabet().labels() {
-        // CSR over sources in [lo, hi): count, prefix-sum, fill.
-        let mut counts = vec![0u32; rows];
-        for &(s, _) in db.edges(label) {
-            if s.0 >= lo && s.0 < hi {
-                counts[(s.0 - lo) as usize] += 1;
-            }
+        // The CSR over sources in [lo, hi) is the forward rows, verbatim.
+        let rows = (lo..hi).map(|s| db.step(NodeId(s), Letter::forward(label)));
+        let mut offset = 0u32;
+        put_u32(&mut buf, offset);
+        for row in rows.clone() {
+            offset += row.len() as u32;
+            put_u32(&mut buf, offset);
         }
-        let mut offsets = Vec::with_capacity(rows + 1);
-        let mut acc = 0u32;
-        offsets.push(0u32);
-        for &c in &counts {
-            acc += c;
-            offsets.push(acc);
-        }
-        let mut dsts = vec![0u32; acc as usize];
-        let mut next: Vec<u32> = offsets[..rows].to_vec();
-        for &(s, d) in db.edges(label) {
-            if s.0 >= lo && s.0 < hi {
-                let slot = &mut next[(s.0 - lo) as usize];
-                dsts[*slot as usize] = d.0;
-                *slot += 1;
-            }
-        }
-        for o in &offsets {
-            put_u32(&mut buf, *o);
-        }
-        for d in &dsts {
-            put_u32(&mut buf, *d);
+        for d in rows.flatten() {
+            put_u32(&mut buf, d.0);
         }
     }
     buf
@@ -216,7 +198,11 @@ pub(crate) fn encode(db: &GraphDb, config: &StorageConfig, epoch: u64) -> Vec<u8
             payload: encode_edges(db, lo, hi),
         });
     }
+    image(n, db.alphabet().len() as u32, shards, epoch, &sections)
+}
 
+/// Frame `sections` behind a superblock declaring the given counts.
+fn image(n: u32, labels: u32, shards: u32, epoch: u64, sections: &[Section]) -> Vec<u8> {
     // Superblock size: fixed head + table + trailing crc.
     let head = 8 + 4 + 4 + 4 + 4 + 8 + 4;
     let entry = 1 + 4 + 8 + 8 + 4;
@@ -226,12 +212,12 @@ pub(crate) fn encode(db: &GraphDb, config: &StorageConfig, epoch: u64) -> Vec<u8
     sb.extend_from_slice(MAGIC);
     put_u32(&mut sb, VERSION);
     put_u32(&mut sb, n);
-    put_u32(&mut sb, db.alphabet().len() as u32);
+    put_u32(&mut sb, labels);
     put_u32(&mut sb, shards);
     put_u64(&mut sb, epoch);
     put_u32(&mut sb, sections.len() as u32);
     let mut offset = sb_len as u64;
-    for s in &sections {
+    for s in sections {
         sb.push(s.kind);
         put_u32(&mut sb, s.shard);
         put_u64(&mut sb, offset);
@@ -258,16 +244,6 @@ struct TableEntry {
     crc: u32,
 }
 
-/// Per label, the `(src, dst)` pairs whose source lives in one shard.
-type EdgesByLabel = Vec<Vec<(NodeId, NodeId)>>;
-
-/// Decoded per-shard columns, merged by [`decode`] in shard order.
-struct ShardColumns {
-    lo: u32,
-    names: Vec<Option<String>>,
-    edges: EdgesByLabel,
-}
-
 fn decode_nodes(payload: &[u8], shard: u32) -> Result<(u32, u32, Vec<Option<String>>), String> {
     let mut c = Cursor::new(payload);
     let lo = c.u32()?;
@@ -289,35 +265,37 @@ fn decode_nodes(payload: &[u8], shard: u32) -> Result<(u32, u32, Vec<Option<Stri
     Ok((lo, hi, names))
 }
 
+/// Decode one shard's edge section, appending its rows to `forward`
+/// (`forward[label]` must already hold exactly the rows below `lo`).
 fn decode_edges(
     payload: &[u8],
     shard: u32,
+    (lo, hi): (u32, u32),
     num_nodes: u32,
-    num_labels: u32,
-) -> Result<(u32, u32, EdgesByLabel), String> {
+    forward: &mut [Vec<Vec<NodeId>>],
+) -> Result<(), String> {
     let mut c = Cursor::new(payload);
-    let lo = c.u32()?;
-    let hi = c.u32()?;
-    if hi < lo || hi > num_nodes {
-        return Err(format!("edges shard {shard}: bad range {lo}..{hi}"));
+    let (elo, ehi) = (c.u32()?, c.u32()?);
+    if (elo, ehi) != (lo, hi) {
+        return Err(format!(
+            "shard {shard}: node range {lo}..{hi} disagrees with edge range {elo}..{ehi}"
+        ));
     }
     let labels = c.u32()?;
-    if labels != num_labels {
+    if labels as usize != forward.len() {
         return Err(format!(
-            "edges shard {shard}: {labels} labels, superblock says {num_labels}"
+            "edges shard {shard}: {labels} labels, superblock says {}",
+            forward.len()
         ));
     }
     let rows = (hi - lo) as usize;
-    let mut per_label = Vec::with_capacity(labels as usize);
-    for l in 0..labels {
+    for (l, per_node) in forward.iter_mut().enumerate() {
         let mut offsets = Vec::with_capacity(rows + 1);
         for _ in 0..=rows {
             offsets.push(c.u32()?);
         }
-        let total = *offsets.last().unwrap();
-        let mut pairs = Vec::with_capacity(total as usize);
         let mut prev = 0u32;
-        for (row, w) in offsets.windows(2).enumerate() {
+        for w in offsets.windows(2) {
             let (a, b) = (w[0], w[1]);
             if a != prev || b < a {
                 return Err(format!(
@@ -325,31 +303,27 @@ fn decode_edges(
                 ));
             }
             prev = b;
-            let src = NodeId(lo + row as u32);
-            for _ in a..b {
-                let d = c.u32()?;
-                if d >= num_nodes {
-                    return Err(format!(
+            let row = c.take(4 * (b - a) as usize)?;
+            let dsts = row
+                .chunks_exact(4)
+                .map(|w| match u32::from_le_bytes(w.try_into().unwrap()) {
+                    d if d < num_nodes => Ok(NodeId(d)),
+                    d => Err(format!(
                         "edges shard {shard} label {l}: destination {d} out of range"
-                    ));
-                }
-                pairs.push((src, NodeId(d)));
-            }
+                    )),
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            per_node.push(dsts);
         }
-        per_label.push(pairs);
     }
     if !c.done() {
         return Err(format!("edges shard {shard}: trailing bytes"));
     }
-    Ok((lo, hi, per_label))
+    Ok(())
 }
 
 /// Decode a snapshot image into a [`GraphDb`], verifying every checksum.
-pub(crate) fn decode(
-    bytes: &[u8],
-    path: &Path,
-    config: &StorageConfig,
-) -> Result<(GraphDb, SnapshotInfo), StorageError> {
+pub(crate) fn decode(bytes: &[u8], path: &Path) -> Result<(GraphDb, SnapshotInfo), StorageError> {
     let corrupt = |detail: String| StorageError::corrupt(path, detail);
 
     // Superblock head.
@@ -453,59 +427,30 @@ pub(crate) fn decode(
         return Err(corrupt("duplicate label names in labels section".into()));
     }
 
-    // Shards, decoded in parallel when asked for.
-    let decode_shard = |i: usize| -> Result<ShardColumns, String> {
-        let (nshard, npay) = node_sections[i];
-        let (eshard, epay) = edge_sections[i];
-        let (nlo, nhi, names) = decode_nodes(npay, nshard)?;
-        let (elo, ehi, edges) = decode_edges(epay, eshard, num_nodes, num_labels)?;
-        if (nlo, nhi) != (elo, ehi) || nshard != eshard {
-            return Err(format!(
-                "shard {nshard}: node range {nlo}..{nhi} disagrees with edge range {elo}..{ehi}"
-            ));
+    // Shards, in order: each appends its names and its forward rows.
+    let mut node_names: Vec<Option<String>> = Vec::with_capacity(num_nodes as usize);
+    let mut forward = vec![Vec::new(); num_labels as usize];
+    for (&(nshard, npay), &(eshard, epay)) in node_sections.iter().zip(&edge_sections) {
+        let (lo, hi, names) = decode_nodes(npay, nshard).map_err(&corrupt)?;
+        if nshard != eshard {
+            return Err(corrupt(format!(
+                "node shard {nshard} paired with edge shard {eshard}"
+            )));
         }
         let (want_lo, want_hi) = shard_range(nshard, num_shards, num_nodes);
-        if (nlo, nhi) != (want_lo, want_hi) {
-            return Err(format!(
-                "shard {nshard}: declared range {nlo}..{nhi}, expected {want_lo}..{want_hi}"
-            ));
+        if (lo, hi) != (want_lo, want_hi) {
+            return Err(corrupt(format!(
+                "shard {nshard}: declared range {lo}..{hi}, expected {want_lo}..{want_hi}"
+            )));
         }
-        Ok(ShardColumns {
-            lo: nlo,
-            names,
-            edges,
-        })
-    };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let shard_results: Vec<Result<ShardColumns, String>> =
-        if config.parallel_load && num_shards > 1 && threads > 1 {
-            std::thread::scope(|s| {
-                let decode_shard = &decode_shard;
-                let handles: Vec<_> = (0..num_shards as usize)
-                    .map(|i| s.spawn(move || decode_shard(i)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-        } else {
-            (0..num_shards as usize).map(decode_shard).collect()
-        };
-
-    let mut node_names: Vec<Option<String>> = Vec::with_capacity(num_nodes as usize);
-    let mut edges_by_label: EdgesByLabel = vec![Vec::new(); num_labels as usize];
-    for r in shard_results {
-        let cols = r.map_err(&corrupt)?;
-        if cols.lo as usize != node_names.len() {
+        if lo as usize != node_names.len() {
             return Err(corrupt(format!(
                 "shard ranges are not contiguous at node {}",
                 node_names.len()
             )));
         }
-        node_names.extend(cols.names);
-        for (l, pairs) in cols.edges.into_iter().enumerate() {
-            edges_by_label[l].extend(pairs);
-        }
+        node_names.extend(names);
+        decode_edges(epay, eshard, (lo, hi), num_nodes, &mut forward).map_err(&corrupt)?;
     }
     if node_names.len() != num_nodes as usize {
         return Err(corrupt(format!(
@@ -514,7 +459,7 @@ pub(crate) fn decode(
         )));
     }
 
-    let db = GraphDb::from_columns(alphabet, node_names, edges_by_label);
+    let db = GraphDb::from_columns(alphabet, node_names, forward);
     let info = SnapshotInfo {
         nodes: num_nodes as usize,
         labels: num_labels as usize,
@@ -528,34 +473,40 @@ pub(crate) fn decode(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rq_automata::LabelId;
     use rq_graph::generate;
     use std::path::PathBuf;
 
-    fn roundtrip(db: &GraphDb, shards: u32, parallel: bool) -> GraphDb {
+    fn roundtrip(db: &GraphDb, shards: u32) -> GraphDb {
         let config = StorageConfig {
             shards,
-            parallel_load: parallel,
             ..StorageConfig::default()
         };
         let bytes = encode(db, &config, 7);
-        let (back, info) = decode(&bytes, &PathBuf::from("mem"), &config).unwrap();
+        let (back, info) = decode(&bytes, &PathBuf::from("mem")).unwrap();
         assert_eq!(info.nodes, db.num_nodes());
         assert_eq!(info.labels, db.alphabet().len());
         assert_eq!(info.epoch, 7);
         back
     }
 
+    /// Equal down to forward-row order (every label's edges, source-major)
+    /// and backward-row contents. Loading rebuilds backward rows in source
+    /// order, not in the order their edges were added.
     fn assert_same(a: &GraphDb, b: &GraphDb) {
         assert_eq!(a.num_nodes(), b.num_nodes());
         assert_eq!(a.num_edges(), b.num_edges());
-        assert_eq!(a.alphabet().len(), b.alphabet().len());
+        assert_eq!(a.alphabet(), b.alphabet());
         for l in a.alphabet().labels() {
-            assert_eq!(a.alphabet().name(l), b.alphabet().name(l));
-            let mut ea = a.edges(l).to_vec();
-            let mut eb = b.edges(l).to_vec();
-            ea.sort();
-            eb.sort();
-            assert_eq!(ea, eb);
+            assert!(a.edges(l).eq(b.edges(l)));
+            for n in a.nodes() {
+                let back = |db: &GraphDb| {
+                    let mut row: Vec<_> = db.step(n, Letter::backward(l)).collect();
+                    row.sort();
+                    row
+                };
+                assert_eq!(back(a), back(b));
+            }
         }
         for n in a.nodes() {
             assert_eq!(a.node_name(n), b.node_name(n));
@@ -571,9 +522,7 @@ mod tests {
         ];
         for db in &dbs {
             for shards in [1, 3, 4, 16] {
-                for parallel in [false, true] {
-                    assert_same(db, &roundtrip(db, shards, parallel));
-                }
+                assert_same(db, &roundtrip(db, shards));
             }
         }
     }
@@ -587,7 +536,110 @@ mod tests {
         let r = db.label("r");
         db.add_edge(a, r, x);
         db.label("unused");
-        assert_same(&db, &roundtrip(&db, 2, false));
+        assert_same(&db, &roundtrip(&db, 2));
+    }
+
+    /// Anonymous and isolated nodes, an unused label, a self-loop, and a
+    /// removed-then-re-added edge (which moves to the end of its row).
+    fn golden_graph() -> GraphDb {
+        let mut db = GraphDb::new();
+        let a = db.node("a");
+        let x = db.add_node();
+        let b = db.node("b");
+        db.node("isolated");
+        let r = db.label("r");
+        let s = db.label("s");
+        db.label("unused");
+        let y = db.add_node();
+        db.add_edge(a, r, x);
+        db.add_edge(a, r, b);
+        db.add_edge(b, s, a);
+        db.add_edge(x, r, b);
+        db.add_edge(a, s, y);
+        db.add_edge(y, r, y);
+        assert!(db.remove_edge(a, r, x));
+        assert!(db.add_edge(a, r, x));
+        db
+    }
+
+    /// The version-1 image of `golden_graph()` at 2 shards and epoch 7.
+    /// The encoder must keep writing exactly these bytes and the decoder
+    /// must keep loading them, so stores written by older builds still
+    /// open.
+    const GOLDEN_V1: &[u8] = &[
+        0x52, 0x51, 0x53, 0x4e, 0x41, 0x50, 0x30, 0x31, 0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00,
+        0x00, 0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa5, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x18, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x33, 0xb8, 0xb5,
+        0x30, 0x01, 0x00, 0x00, 0x00, 0x00, 0xbd, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x15,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa1, 0x51, 0x6c, 0x1d, 0x02, 0x00, 0x00, 0x00,
+        0x00, 0xd2, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x50, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x82, 0x12, 0xe7, 0x3d, 0x01, 0x01, 0x00, 0x00, 0x00, 0x22, 0x01, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa3, 0xd3, 0xf2,
+        0x6d, 0x02, 0x01, 0x00, 0x00, 0x00, 0x38, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x34,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x73, 0xed, 0x7d, 0x34, 0x4e, 0x03, 0x23, 0x02,
+        0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x72, 0x01, 0x00, 0x00, 0x00, 0x73, 0x06,
+        0x00, 0x00, 0x00, 0x75, 0x6e, 0x75, 0x73, 0x65, 0x64, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00,
+        0x00, 0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x61, 0x00, 0x01, 0x01, 0x00, 0x00, 0x00, 0x62,
+        0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x02, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+        0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x01, 0x08,
+        0x00, 0x00, 0x00, 0x69, 0x73, 0x6f, 0x6c, 0x61, 0x74, 0x65, 0x64, 0x00, 0x03, 0x00, 0x00,
+        0x00, 0x05, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00,
+    ];
+
+    #[test]
+    fn snapshot_bytes_match_the_version_1_golden() {
+        let db = golden_graph();
+        let config = StorageConfig {
+            shards: 2,
+            ..StorageConfig::default()
+        };
+        assert_eq!(VERSION, 1);
+        assert_eq!(encode(&db, &config, 7), GOLDEN_V1);
+        let (back, info) = decode(GOLDEN_V1, &PathBuf::from("golden")).unwrap();
+        assert_eq!((info.shards, info.epoch), (2, 7));
+        assert_same(&db, &back);
+        let (a, x, r) = (NodeId(0), NodeId(1), LabelId(0));
+        assert_eq!(
+            back.step(a, Letter::forward(r)).collect::<Vec<_>>(),
+            [NodeId(2), x]
+        );
+    }
+
+    #[test]
+    fn decode_collapses_duplicate_row_entries() {
+        // A CSR row that names one destination twice (only a crafted file
+        // has one) loads as a single edge, so the edge count stays exact.
+        let mut db = GraphDb::new();
+        let (a, b) = (db.node("a"), db.node("b"));
+        let r = db.label("r");
+        // lo, hi, labels, then offsets [0, 2, 2] and destinations [b, b].
+        let edges = [0u32, 2, 1, 0, 2, 2, 1, 1];
+        let sections = [
+            (KIND_LABELS, encode_labels(&db)),
+            (KIND_NODES, encode_nodes(&db, 0, 2)),
+            (
+                KIND_EDGES,
+                edges.iter().flat_map(|w| w.to_le_bytes()).collect(),
+            ),
+        ]
+        .map(|(kind, payload)| Section {
+            kind,
+            shard: 0,
+            payload,
+        });
+        let bytes = image(2, 1, 1, 0, &sections);
+        let (back, _) = decode(&bytes, &PathBuf::from("dup")).unwrap();
+        assert_eq!(back.num_edges(), 1);
+        assert_eq!(back.edges(r).collect::<Vec<_>>(), [(a, b)]);
+        assert_eq!(back.step(b, Letter::backward(r)).collect::<Vec<_>>(), [a]);
     }
 
     #[test]
@@ -614,7 +666,7 @@ mod tests {
         let p = PathBuf::from("mem");
         // Truncation anywhere must fail closed.
         for cut in [0, 4, 8, 40, bytes.len() / 2, bytes.len() - 1] {
-            let err = decode(&bytes[..cut], &p, &config).unwrap_err();
+            let err = decode(&bytes[..cut], &p).unwrap_err();
             assert!(err.to_string().starts_with("error[storage]:"), "{err}");
         }
         // A flipped bit anywhere must fail closed (superblock or section
@@ -622,7 +674,7 @@ mod tests {
         for pos in [9, 20, 60, bytes.len() / 2, bytes.len() - 2] {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x40;
-            match decode(&bad, &p, &config) {
+            match decode(&bad, &p) {
                 Err(e) => assert!(e.to_string().starts_with("error[storage]:"), "{e}"),
                 Ok((back, _)) => {
                     // Only acceptable if the flip landed in a section that

@@ -142,7 +142,7 @@ impl StorageHandle {
         File::open(&snap_path)
             .and_then(|mut f| f.read_to_end(&mut bytes))
             .map_err(|e| StorageError::io(&snap_path, "read", e))?;
-        let (mut db, info) = format::decode(&bytes, &snap_path, &config)?;
+        let (mut db, info) = format::decode(&bytes, &snap_path)?;
         metrics::snapshot_bytes().set(info.bytes);
 
         // Replay the log.

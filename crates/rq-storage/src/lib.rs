@@ -8,11 +8,12 @@
 //! without giving up the cold-start story:
 //!
 //! * [`format`] — a compact, checksummed snapshot: string-interned label
-//!   and node tables plus per-label CSR adjacency, sharded by node range
-//!   so loader threads can decode disjoint shards in parallel. A
-//!   versioned superblock carries a section table; every section (and the
-//!   superblock itself) has a CRC32, so corruption fails closed instead
-//!   of materializing a silently wrong graph.
+//!   and node tables plus per-label CSR adjacency, sharded by node range.
+//!   The CSR rows are `GraphDb`'s forward rows, so loading copies them in
+//!   and transposes once for the backward rows. A versioned superblock
+//!   carries a section table; every section (and the superblock itself)
+//!   has a CRC32, so corruption fails closed instead of materializing a
+//!   silently wrong graph.
 //! * [`log`] — an append-only edge-delta log (`AddEdge`/`RemoveEdge`
 //!   records, each length- and CRC-framed). A record is *acknowledged*
 //!   once [`StorageHandle::append`] returns — the write is fsync'd — and
@@ -61,9 +62,9 @@ use std::path::{Path, PathBuf};
 /// Tuning knobs for a store.
 #[derive(Debug, Clone)]
 pub struct StorageConfig {
-    /// Number of node-range shards the snapshot is split into. Loader
-    /// threads decode shards independently, so this should roughly match
-    /// the engine's worker-stripe count.
+    /// Number of node-range shards the snapshot is split into. Each shard
+    /// is a separately checksummed section, so corruption is reported per
+    /// node range.
     pub shards: u32,
     /// Once the delta log holds at least this many records,
     /// [`StorageHandle::needs_compaction`] reports true.
@@ -75,9 +76,6 @@ pub struct StorageConfig {
     /// cleanly). A CRC mismatch on a fully-framed record is always an
     /// error, independent of this flag.
     pub tolerate_torn_tail: bool,
-    /// Decode snapshot shards on parallel threads (one per shard, capped
-    /// at the machine's parallelism).
-    pub parallel_load: bool,
 }
 
 impl Default for StorageConfig {
@@ -86,7 +84,6 @@ impl Default for StorageConfig {
             shards: 4,
             compact_threshold: 10_000,
             tolerate_torn_tail: true,
-            parallel_load: true,
         }
     }
 }

@@ -69,7 +69,7 @@ fn closure_engines_agree() {
         .unwrap()
         .evaluate(&db);
 
-        let base: BTreeSet<(NodeId, NodeId)> = db.edges(r).iter().copied().collect();
+        let base: BTreeSet<(NodeId, NodeId)> = db.edges(r).collect();
         let via_helper: BTreeSet<Vec<NodeId>> = transitive_closure(&base)
             .into_iter()
             .map(|(x, y)| vec![x, y])

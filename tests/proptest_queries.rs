@@ -253,7 +253,7 @@ fn rq_eval_is_monotone() {
         let extra = generate::random_gnm(6, 5, &["a", "b"], db_seed + 1000);
         for label in extra.alphabet().labels() {
             let name = extra.alphabet().name(label).to_owned();
-            for &(s, d) in extra.edges(label) {
+            for (s, d) in extra.edges(label) {
                 let l = bigger.label(&name);
                 let s2 = NodeId(s.0.min(bigger.num_nodes() as u32 - 1));
                 let d2 = NodeId(d.0.min(bigger.num_nodes() as u32 - 1));

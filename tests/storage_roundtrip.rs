@@ -1,12 +1,11 @@
 //! Round-trip fidelity of the `rq-storage` on-disk format: every graph —
 //! the shipped examples and a spread of generated shapes — must come back
 //! from a snapshot + log cycle *identical* to the source, under every
-//! shard count and both load modes. Identity is checked two ways: the
-//! text serialization matches line-for-line after sorting (node ids,
-//! names, labels, and the edge set all survive; the snapshot's CSR
-//! layout canonicalizes edge *order* by source, which is invisible to
-//! queries), and a query engine over the reopened graph answers exactly
-//! like one over the original.
+//! shard count. Identity is checked two ways: the text serialization
+//! matches line-for-line after sorting (node ids, names, labels, and the
+//! edge set all survive; loading rebuilds backward rows in source order,
+//! which is invisible to queries), and a query engine over the reopened
+//! graph answers exactly like one over the original.
 
 use regular_queries::graph::{generate, text, Delta, GraphDb};
 use regular_queries::prelude::*;
@@ -82,25 +81,21 @@ fn every_graph_round_trips_identically_across_shard_counts() {
     for (name, db) in corpus() {
         let reference = canonical(&db);
         for shards in [1u32, 4, 16] {
-            for parallel_load in [false, true] {
-                let dir = temp_dir("fidelity");
-                let config = StorageConfig {
-                    shards,
-                    parallel_load,
-                    ..StorageConfig::default()
-                };
-                StorageHandle::create(&dir, &db, config.clone()).unwrap();
-                let (_, reopened, report) = StorageHandle::open(&dir, config).unwrap();
-                assert_eq!(
-                    canonical(&reopened),
-                    reference,
-                    "{name}: text serialization diverges (shards={shards}, \
-                     parallel={parallel_load})"
-                );
-                assert_eq!(report.nodes, db.num_nodes(), "{name}");
-                assert_eq!(report.replayed, 0, "{name}: fresh store has no log");
-                std::fs::remove_dir_all(&dir).unwrap();
-            }
+            let dir = temp_dir("fidelity");
+            let config = StorageConfig {
+                shards,
+                ..StorageConfig::default()
+            };
+            StorageHandle::create(&dir, &db, config.clone()).unwrap();
+            let (_, reopened, report) = StorageHandle::open(&dir, config).unwrap();
+            assert_eq!(
+                canonical(&reopened),
+                reference,
+                "{name}: text serialization diverges (shards={shards})"
+            );
+            assert_eq!(report.nodes, db.num_nodes(), "{name}");
+            assert_eq!(report.replayed, 0, "{name}: fresh store has no log");
+            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 }
@@ -155,11 +150,11 @@ fn acknowledged_deltas_survive_a_torn_final_append() {
         let n5 = reopened.find_node("n5").unwrap();
         let n9 = reopened.find_node("n9").unwrap();
         assert!(
-            reopened.out_edges(n0).contains(&(s, n5)),
+            reopened.has_edge(n0, s, n5),
             "cut at {cut}: first acknowledged delta lost"
         );
         assert!(
-            reopened.out_edges(n5).contains(&(s, n9)),
+            reopened.has_edge(n5, s, n9),
             "cut at {cut}: second acknowledged delta lost"
         );
         // The tail was physically truncated, so the next append starts
@@ -169,9 +164,11 @@ fn acknowledged_deltas_survive_a_torn_final_append() {
         drop(handle);
         let (_, again, report) = StorageHandle::open(&dir, StorageConfig::default()).unwrap();
         assert_eq!(report.replayed, 3, "cut at {cut}: post-recovery append");
-        assert!(again
-            .out_edges(again.find_node("n9").unwrap())
-            .contains(&(s, again.find_node("n1").unwrap())));
+        let (n9, n1) = (
+            again.find_node("n9").unwrap(),
+            again.find_node("n1").unwrap(),
+        );
+        assert!(again.has_edge(n9, s, n1));
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
