@@ -1,8 +1,9 @@
 //! # rq-bench
 //!
-//! Workload generators and measurement helpers shared by the Criterion
-//! benches (`benches/e*.rs`) and the `report` binary that regenerates the
-//! EXPERIMENTS.md tables.
+//! Seeded workload generators and the timing primitive ([`median`],
+//! [`paired`]) behind `report`, the one binary that runs experiments
+//! E1–E17 and prints the EXPERIMENTS.md tables
+//! (`cargo run --release -p rq-bench --bin report -- --only=E1,E17`).
 //!
 //! The source paper (Vardi, *A Theory of Regular Queries*, PODS 2016) is an
 //! overview paper with no empirical tables; the experiment suite instead
@@ -11,6 +12,8 @@
 //! (Lemma 1, Theorems 5–8) plus substrate ablations (naive vs semi-naive
 //! Datalog, monadic reachability). See `DESIGN.md` for the index.
 
+pub mod timing;
 pub mod workloads;
 
+pub use timing::{median, paired};
 pub use workloads::*;

@@ -1,4 +1,4 @@
-//! Deterministic workload generators for experiments E1–E10 and E12–E14.
+//! Deterministic workload generators for the `report` experiments E1–E17.
 
 use rq_automata::random::{random_regex, RegexConfig, SplitMix64};
 use rq_automata::{Alphabet, LabelId, Letter, Regex};
@@ -462,7 +462,7 @@ pub fn e17_simple_batch(count: usize) -> Vec<String> {
 // E14: front-end overload workloads
 // ---------------------------------------------------------------------
 
-/// The graph the E14 closed-loop bench serves: sized so a cache miss
+/// The graph the E14 closed-loop run serves: sized so a cache miss
 /// pays real evaluator work (around a millisecond) rather than parse
 /// overhead, while a full answer set still fits a cache entry.
 pub fn e14_graph() -> GraphDb {
@@ -474,7 +474,7 @@ pub fn e14_graph() -> GraphDb {
 /// cache hit. Deliberately free of broad `…*` superset queries (and of
 /// any length-≥3 chain) so nothing here can answer the cold stream
 /// below by subsumption.
-pub fn e14_hot() -> Vec<String> {
+fn e14_hot() -> Vec<String> {
     ["a b", "b a", "a a", "b b", "a- b", "b a-", "a b-", "b- a"]
         .into_iter()
         .map(str::to_string)
@@ -491,7 +491,7 @@ pub fn e14_hot() -> Vec<String> {
 /// length band is deliberately narrow (~19–47 ms each on the E14
 /// graph): tail latency under load is then queueing policy, not
 /// service-time spread.
-pub fn e14_cold() -> Vec<String> {
+fn e14_cold() -> Vec<String> {
     let ends = ["a", "b", "a-", "b-"];
     let mids = ["(a|b)", "(b|a-)"];
     let mut queries = Vec::new();
