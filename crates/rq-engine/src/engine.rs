@@ -13,7 +13,7 @@ use crate::pool::WorkerPool;
 use rq_automata::governor::{EngineError, Exhaustion, Governor, Limits, Resource};
 use rq_automata::{Alphabet, LabelId};
 use rq_core::TwoRpq;
-use rq_graph::{Delta, GraphDb, NodeId};
+use rq_graph::{frontier, Delta, GraphDb, NodeId};
 use rq_metrics::span;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -592,13 +592,23 @@ impl Engine {
         report
     }
 
-    /// Stripe `sources` across the pool, one governed product BFS per
-    /// source, merging the per-worker pair sets. When `cancel` is given,
-    /// every stripe *watches* it read-only — setting it from another
-    /// thread (a request timeout, a server drain) stops the evaluation,
-    /// but the internal first-failure peer-cancel path runs on its own
-    /// flag, so an exhausted attempt never flips the caller's flag and a
-    /// retry with the same flag starts clean.
+    /// Evaluate `q` from every source in `sources` (ascending, distinct)
+    /// across the pool, one governed product BFS per source.
+    ///
+    /// Stripe `s` of `k` owns the contiguous slice
+    /// `sources[s·n/k .. (s+1)·n/k]` and harvests it into one source-major
+    /// `(x, y)` run, which is sorted because the slice is ascending. The
+    /// runs, concatenated in stripe order, are therefore the sorted
+    /// answer, and the set is bulk-built from them once: there is no
+    /// merge. Ownership is fixed by `(sources, threads)`, so each stripe's
+    /// fuel — and so whether a budget trips — does not depend on
+    /// scheduling.
+    ///
+    /// When `cancel` is given, every stripe *watches* it read-only —
+    /// setting it from another thread (a request timeout, a server drain)
+    /// stops the evaluation, but the internal first-failure peer-cancel
+    /// path runs on its own flag, so an exhausted attempt never flips the
+    /// caller's flag and a retry with the same flag starts clean.
     fn eval_sources(
         &self,
         q: &TwoRpq,
@@ -621,16 +631,18 @@ impl Engine {
         // in the same tree even though they run on pool threads.
         let trace_parent = span::current_context().map(|(ctx, _)| (ctx, eval_span.id()));
         let peer_cancel = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = channel::<Result<BTreeSet<(NodeId, NodeId)>, Exhaustion>>();
+        let nfa = Arc::new(q.nfa().clone());
+        let sources: Arc<[NodeId]> = sources.into();
+        let (tx, rx) = channel::<(usize, Result<Vec<(NodeId, NodeId)>, Exhaustion>)>();
         for s in 0..stripes {
             let db = Arc::clone(db);
-            let q = q.clone();
+            let nfa = Arc::clone(&nfa);
+            let sources = Arc::clone(&sources);
             let tx = tx.clone();
             let peer_cancel = Arc::clone(&peer_cancel);
             let external = cancel.clone();
             let limits = limits.clone();
             let trace_parent = trace_parent.clone();
-            let mine: Vec<NodeId> = sources.iter().skip(s).step_by(stripes).copied().collect();
             self.pool.execute(move || {
                 let _trace_guard = trace_parent
                     .as_ref()
@@ -640,48 +652,33 @@ impl Engine {
                 if let Some(flag) = external {
                     gov = gov.watching(flag);
                 }
-                let mut out = BTreeSet::new();
-                let mut failed = None;
-                for x in mine {
-                    match q.evaluate_from_governed(&db, x, &gov) {
-                        Ok(ys) => out.extend(ys.into_iter().map(|y| (x, y))),
-                        Err(e) => {
-                            gov.cancel(); // stop the peers
-                            failed = Some(e);
-                            break;
-                        }
-                    }
+                let n = sources.len();
+                let mine = &sources[s * n / stripes..(s + 1) * n / stripes];
+                let mut pairs = Vec::new();
+                let result =
+                    frontier::harvest_pairs(&db, &nfa, mine.iter().copied(), &gov, &mut pairs)
+                        .map(|()| pairs);
+                if result.is_err() {
+                    gov.cancel(); // stop the peers
                 }
                 if stripe_span.active() {
                     stripe_span.record("stripe", s);
                     stripe_span.record("fuel", gov.fuel_spent());
-                    if failed.is_some() {
+                    if result.is_err() {
                         stripe_span.record("exhausted", "true");
                     }
                 }
                 drop(stripe_span);
-                metrics::worker_fuel(gov.fuel_spent(), failed.is_none());
-                let _ = tx.send(match failed {
-                    None => Ok(out),
-                    Some(e) => Err(e),
-                });
+                metrics::worker_fuel(gov.fuel_spent(), result.is_ok());
+                let _ = tx.send((s, result));
             });
         }
         drop(tx);
-        let mut merged = BTreeSet::new();
+        let mut runs: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); stripes];
         let mut error: Option<Exhaustion> = None;
-        for result in rx {
+        for (s, result) in rx {
             match result {
-                // Always extend the larger set with the smaller one, so a
-                // single stripe (or one dominant stripe) pays no re-insert.
-                Ok(part) => {
-                    if part.len() > merged.len() {
-                        let smaller = std::mem::replace(&mut merged, part);
-                        merged.extend(smaller);
-                    } else {
-                        merged.extend(part);
-                    }
-                }
+                Ok(pairs) => runs[s] = pairs,
                 // Peers cancelled by the first failure also report
                 // `Cancelled`; keep the budget that actually tripped.
                 Err(e) => {
@@ -698,10 +695,16 @@ impl Engine {
                 }
             }
         }
-        match error {
-            Some(e) => Err(EngineError::Exhausted(e)),
-            None => Ok(merged),
+        if let Some(e) = error {
+            return Err(EngineError::Exhausted(e));
         }
+        debug_assert!(
+            runs.iter().flatten().is_sorted_by(|a, b| a < b),
+            "stripe runs concatenate sorted"
+        );
+        // `collect` recognises the sorted run and bulk-builds the set; each
+        // run's buffer is freed as soon as it has been moved out.
+        Ok(runs.into_iter().flatten().collect())
     }
 }
 

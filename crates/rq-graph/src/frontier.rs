@@ -13,13 +13,19 @@
 //!
 //! The ungoverned entry points in `rq-core` run these under
 //! [`Governor::unlimited`], which never exhausts.
+//!
+//! Answers are harvested flat. One drain loop appends each source's final
+//! nodes to a row `Vec`, deduplicated by epoch-stamped marks reused across
+//! sources, and sorts the row; [`harvest_pairs`] lays rows out
+//! source-major as `(x, y)` pairs. The `BTreeSet`-returning entry points
+//! build their set once, from that sorted run.
 
 use crate::db::{GraphDb, NodeId};
 use crate::semipath::Semipath;
 use rq_automata::governor::{Exhaustion, Governor};
 use rq_automata::{Letter, Nfa};
 use rq_metrics::span;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// A product state: a database node paired with an automaton state.
 pub type ProductState = (NodeId, usize);
@@ -31,23 +37,52 @@ pub type ProductState = (NodeId, usize);
 pub struct ProductBfs<'a> {
     db: &'a GraphDb,
     nfa: &'a Nfa,
+    /// `finals[q]`: whether automaton state `q` is final, so a pop reads
+    /// one flag instead of probing the automaton's final-state set.
+    finals: Vec<bool>,
     seen: Vec<bool>,
-    queue: VecDeque<ProductState>,
+    /// Every product state pushed so far; `queue[head..]` is the frontier.
+    queue: Vec<ProductState>,
+    head: usize,
+    marks: Marks,
 }
 
 impl<'a> ProductBfs<'a> {
     /// Seed the frontier with `(source, q0)` for every initial state `q0`.
     pub fn new(db: &'a GraphDb, nfa: &'a Nfa, source: NodeId) -> Self {
-        let mut bfs = ProductBfs {
+        let mut bfs = ProductBfs::idle(db, nfa);
+        bfs.seed(source);
+        bfs
+    }
+
+    /// A search with an empty frontier, to be [`restart`](Self::restart)ed.
+    fn idle(db: &'a GraphDb, nfa: &'a Nfa) -> Self {
+        ProductBfs {
             db,
             nfa,
+            finals: (0..nfa.num_states()).map(|q| nfa.is_final(q)).collect(),
             seen: vec![false; db.num_nodes() * nfa.num_states()],
-            queue: VecDeque::new(),
-        };
-        for q in nfa.initial_states() {
-            bfs.push(source, q);
+            queue: Vec::new(),
+            head: 0,
+            marks: Marks::default(),
         }
-        bfs
+    }
+
+    /// Start over from `source`, keeping this search's buffers (and its
+    /// harvest marks, which [`harvest`](Self::harvest) moves to a fresh
+    /// epoch).
+    fn restart(&mut self, source: NodeId) {
+        self.seen.fill(false);
+        self.queue.clear();
+        self.head = 0;
+        self.seed(source);
+    }
+
+    fn seed(&mut self, source: NodeId) {
+        let nfa = self.nfa;
+        for q in nfa.initial_states() {
+            self.push(source, q);
+        }
     }
 
     #[inline]
@@ -63,7 +98,7 @@ impl<'a> ProductBfs<'a> {
             return false;
         }
         self.seen[key] = true;
-        self.queue.push_back((node, state));
+        self.queue.push((node, state));
         true
     }
 
@@ -83,44 +118,75 @@ impl<'a> ProductBfs<'a> {
     fn step_reporting(
         &mut self,
         gov: &Governor,
-        mut reached: impl FnMut(usize, ProductState, Letter),
+        reached: impl FnMut(usize, ProductState, Letter),
     ) -> Result<Option<ProductState>, Exhaustion> {
-        let Some((node, state)) = self.queue.pop_front() else {
+        let Some(popped) = self.pop() else {
             return Ok(None);
         };
+        self.expand(popped, gov, reached)?;
+        Ok(Some(popped))
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<ProductState> {
+        let popped = *self.queue.get(self.head)?;
+        self.head += 1;
+        Some(popped)
+    }
+
+    /// Push every successor of `from` not yet seen, spending one fuel unit
+    /// per product edge.
+    #[inline]
+    fn expand(
+        &mut self,
+        from: ProductState,
+        gov: &Governor,
+        mut reached: impl FnMut(usize, ProductState, Letter),
+    ) -> Result<(), Exhaustion> {
+        let (node, state) = from;
         for &(l, t) in self.nfa.transitions_from(state) {
             for n2 in self.db.step(node, l) {
                 gov.tick()?;
                 if self.push(n2, t) {
-                    reached(self.key(n2, t), (node, state), l);
+                    reached(self.key(n2, t), from, l);
                 }
             }
         }
-        Ok(Some((node, state)))
+        Ok(())
     }
 
-    /// Drain the frontier, collecting every node reached in a final state.
-    pub fn run(&mut self, gov: &Governor) -> Result<BTreeSet<NodeId>, Exhaustion> {
+    /// The drain loop every answer-harvesting search runs: pop product
+    /// states until the frontier is empty, appending each node reached in
+    /// a final state to `out` once (a node can be final in several
+    /// automaton states; `marks` drops the repeats), then sort the
+    /// appended row. On exhaustion `out` is truncated back to its length
+    /// on entry, so a caller never sees a partial row.
+    fn harvest(&mut self, gov: &Governor, out: &mut Vec<NodeId>) -> Result<(), Exhaustion> {
         let mut span = span::start("frontier.bfs");
         // The counter snapshot includes a clock read; skip it (like the
         // annotations below) on the untraced hot path.
         let fuel_before = if span.active() { gov.fuel_spent() } else { 0 };
-        let mut out = BTreeSet::new();
+        self.marks.next_epoch(self.db.num_nodes());
+        let start = out.len();
         let mut expanded = 0u64;
-        let mut peak = self.queue.len();
+        let mut peak = self.queue.len() - self.head;
         let result = loop {
-            match self.step(gov) {
-                Ok(Some((node, state))) => {
-                    expanded += 1;
-                    peak = peak.max(self.queue.len());
-                    if self.nfa.is_final(state) {
-                        out.insert(node);
-                    }
-                }
-                Ok(None) => break Ok(out),
-                Err(e) => break Err(e),
+            let Some((node, state)) = self.pop() else {
+                break Ok(());
+            };
+            if let Err(e) = self.expand((node, state), gov, |_, _, _| {}) {
+                break Err(e);
+            }
+            expanded += 1;
+            peak = peak.max(self.queue.len() - self.head);
+            if self.finals[state] && self.marks.mark(node) {
+                out.push(node);
             }
         };
+        match result {
+            Ok(()) => out[start..].sort_unstable(),
+            Err(_) => out.truncate(start),
+        }
         // One flush per search, never per expansion, keeps the atomics off
         // the BFS hot path (partial work is reported even on exhaustion).
         metrics::record_search(expanded);
@@ -133,6 +199,49 @@ impl<'a> ProductBfs<'a> {
             }
         }
         result
+    }
+
+    /// Drain the frontier, collecting every node reached in a final state.
+    pub fn run(&mut self, gov: &Governor) -> Result<BTreeSet<NodeId>, Exhaustion> {
+        let mut row = Vec::new();
+        self.harvest(gov, &mut row)?;
+        Ok(row.into_iter().collect())
+    }
+}
+
+/// Harvest dedup marks: one epoch stamp per database node. A node counts
+/// as marked only when its stamp equals the current epoch, and each search
+/// starts a fresh epoch, so one array serves every source of a run with
+/// no clearing and no reallocation.
+#[derive(Default)]
+struct Marks {
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl Marks {
+    /// Start a new epoch over (at least) `num_nodes` nodes: every node
+    /// reads as unmarked again.
+    fn next_epoch(&mut self, num_nodes: usize) {
+        if self.stamps.len() < num_nodes {
+            self.stamps.resize(num_nodes, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: a stamp left from 2^32 epochs ago would read as
+            // current, so clear them all once.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Mark `node`; whether it was unmarked in this epoch.
+    #[inline]
+    fn mark(&mut self, node: NodeId) -> bool {
+        let stamp = &mut self.stamps[node.index()];
+        let fresh = *stamp != self.epoch;
+        *stamp = self.epoch;
+        fresh
     }
 }
 
@@ -189,7 +298,7 @@ pub fn pair_reachable_governed(
         match bfs.step(gov) {
             Ok(Some((node, state))) => {
                 expanded += 1;
-                if node == target && nfa.is_final(state) {
+                if node == target && bfs.finals[state] {
                     break Ok(true);
                 }
             }
@@ -224,7 +333,7 @@ pub fn witness_governed(
     let mut pred: Vec<Option<(ProductState, Letter)>> = vec![None; bfs.seen.len()];
     let hit = loop {
         match bfs.step_reporting(gov, |key, from, l| pred[key] = Some((from, l)))? {
-            Some((node, state)) if node == target && nfa.is_final(state) => break (node, state),
+            Some((node, state)) if node == target && bfs.finals[state] => break (node, state),
             Some(_) => {}
             None => return Ok(None),
         }
@@ -242,22 +351,41 @@ pub fn witness_governed(
     Ok(Some(Semipath::new(nodes, word)))
 }
 
+/// Append `(x, y)` to `out` for every source `x` of `sources` and every
+/// `y` it answers, source-major: sources in the given order, each one's
+/// targets ascending, so ascending sources append a sorted run. One
+/// product BFS per source, all reusing one search's buffers, harvest marks
+/// and row. On exhaustion `out` may hold the sources finished so far.
+pub fn harvest_pairs(
+    db: &GraphDb,
+    nfa: &Nfa,
+    sources: impl IntoIterator<Item = NodeId>,
+    gov: &Governor,
+    out: &mut Vec<(NodeId, NodeId)>,
+) -> Result<(), Exhaustion> {
+    let mut bfs = ProductBfs::idle(db, nfa);
+    let mut row = Vec::new();
+    for x in sources {
+        gov.check_wall()?;
+        bfs.restart(x);
+        row.clear();
+        bfs.harvest(gov, &mut row)?;
+        out.extend(row.iter().map(|&y| (x, y)));
+    }
+    Ok(())
+}
+
 /// The full all-pairs answer (governed, sequential): one product BFS per
 /// source node. The parallel engine runs the same per-source searches
-/// partitioned across its worker pool.
+/// over one contiguous slice of the sources per worker.
 pub fn all_pairs_governed(
     db: &GraphDb,
     nfa: &Nfa,
     gov: &Governor,
 ) -> Result<BTreeSet<(NodeId, NodeId)>, Exhaustion> {
-    let mut out = BTreeSet::new();
-    for x in db.nodes() {
-        gov.check_wall()?;
-        for y in reachable_governed(db, nfa, x, gov)? {
-            out.insert((x, y));
-        }
-    }
-    Ok(out)
+    let mut pairs = Vec::new();
+    harvest_pairs(db, nfa, db.nodes(), gov, &mut pairs)?;
+    Ok(pairs.into_iter().collect())
 }
 
 #[cfg(test)]
@@ -343,30 +471,139 @@ mod tests {
         let (db, ns) = chain3();
         let mut al = db.alphabet().clone();
         let n = nfa("r+", &mut al);
-        let ctx = span::TraceContext::start();
-        {
-            let _g = span::install(&ctx, 0);
-            let gov = Governor::unlimited();
-            reachable_governed(&db, &n, ns[0], &gov).unwrap();
-        }
-        let t = ctx.finish("ok", "");
-        let bfs_span = t
-            .spans
-            .iter()
-            .find(|s| s.name == "frontier.bfs")
-            .expect("BFS opened a span");
-        let field = |k: &str| {
-            bfs_span
-                .fields
-                .iter()
-                .find(|(key, _)| *key == k)
-                .map(|(_, v)| v.clone())
-        };
+        let fields = bfs_span_fields(|| {
+            reachable_governed(&db, &n, ns[0], &Governor::unlimited()).unwrap();
+        });
+        let field = |k: &str| fields.iter().find(|(key, _)| *key == k).map(|(_, v)| v);
         // 3 reachable nodes on the chain: expansions and fuel both > 0.
         assert!(field("expanded").unwrap().parse::<u64>().unwrap() > 0);
         assert!(field("fuel").unwrap().parse::<u64>().unwrap() > 0);
         assert!(field("frontier_peak").is_some());
         assert_eq!(field("exhausted"), None, "search completed");
+    }
+
+    /// The `(field, value)` annotations of the one `frontier.bfs` span that
+    /// `search` opens.
+    fn bfs_span_fields(search: impl FnOnce()) -> Vec<(&'static str, String)> {
+        let ctx = span::TraceContext::start();
+        {
+            let _g = span::install(&ctx, 0);
+            search();
+        }
+        let t = ctx.finish("ok", "");
+        let mut bfs = t.spans.into_iter().filter(|s| s.name == "frontier.bfs");
+        let fields = bfs.next().expect("BFS opened a span").fields;
+        assert!(bfs.next().is_none(), "one search, one span");
+        fields
+    }
+
+    #[test]
+    fn a_node_final_in_two_states_is_harvested_once() {
+        let (db, ns) = chain3();
+        let mut al = db.alphabet().clone();
+        // v0 reaches v1 both by `r` and by `r r- r`, ending in two
+        // different final states.
+        let n = nfa("r | r r- r", &mut al);
+        let gov = Governor::unlimited();
+        let mut bfs = ProductBfs::new(&db, &n, ns[0]);
+        let mut final_pops = 0;
+        while let Some((node, state)) = bfs.step(&gov).unwrap() {
+            if node == ns[1] && n.is_final(state) {
+                final_pops += 1;
+            }
+        }
+        assert_eq!(final_pops, 2, "the fixture must reach v1 finally twice");
+        let mut row = Vec::new();
+        ProductBfs::new(&db, &n, ns[0])
+            .harvest(&gov, &mut row)
+            .unwrap();
+        assert_eq!(row, [ns[1]]);
+    }
+
+    #[test]
+    fn harvested_rows_are_sorted() {
+        // v0 → v3 → v1 → v2: BFS pops v3 first, then v1, then v2.
+        let mut db = GraphDb::new();
+        let ns: Vec<NodeId> = (0..4).map(|i| db.node(&format!("v{i}"))).collect();
+        let r = db.label("r");
+        for (a, b) in [(0, 3), (3, 1), (1, 2)] {
+            db.add_edge(ns[a], r, ns[b]);
+        }
+        let mut al = db.alphabet().clone();
+        let n = nfa("r+", &mut al);
+        let gov = Governor::unlimited();
+        let mut pops = Vec::new();
+        let mut bfs = ProductBfs::new(&db, &n, ns[0]);
+        while let Some((node, state)) = bfs.step(&gov).unwrap() {
+            if n.is_final(state) {
+                pops.push(node);
+            }
+        }
+        assert_eq!(pops, [ns[3], ns[1], ns[2]], "BFS order is not id order");
+        // A row appended after existing content sorts only its own part.
+        let mut row = vec![ns[3]];
+        ProductBfs::new(&db, &n, ns[0])
+            .harvest(&gov, &mut row)
+            .unwrap();
+        assert_eq!(row, [ns[3], ns[1], ns[2], ns[3]]);
+    }
+
+    #[test]
+    fn a_restarted_search_gives_the_rows_of_fresh_runs() {
+        let db = crate::generate::random_gnm(40, 80, &["a", "b"], 7);
+        let mut al = db.alphabet().clone();
+        let n = nfa("a (b | a-)* | b b-", &mut al);
+        let gov = Governor::unlimited();
+        let mut bfs = ProductBfs::idle(&db, &n);
+        // Start the marks two epochs short of the wrap, so the sweep
+        // crosses it.
+        bfs.marks.epoch = u32::MAX - 2;
+        let mut nonempty = 0;
+        for x in db.nodes() {
+            bfs.restart(x);
+            let mut row = Vec::new();
+            bfs.harvest(&gov, &mut row).unwrap();
+            let fresh: Vec<NodeId> = ProductBfs::new(&db, &n, x)
+                .run(&gov)
+                .unwrap()
+                .into_iter()
+                .collect();
+            assert_eq!(row, fresh, "source {x:?}");
+            nonempty += usize::from(!row.is_empty());
+        }
+        assert!(nonempty > 1, "the fixture must answer several sources");
+        assert!(bfs.marks.epoch < 64, "the epoch wrapped during the sweep");
+    }
+
+    #[test]
+    fn a_fuel_trip_mid_harvest_is_an_error_on_the_span() {
+        let (db, ns) = chain3();
+        let mut al = db.alphabet().clone();
+        let n = nfa("r*", &mut al);
+        let mut row = vec![ns[3]];
+        let mut result = None;
+        let fields = bfs_span_fields(|| {
+            let gov = Limits::unlimited().with_fuel(2).governor();
+            result = Some(ProductBfs::new(&db, &n, ns[0]).harvest(&gov, &mut row));
+        });
+        let e = result.unwrap().unwrap_err();
+        assert_eq!(e.resource, Resource::Fuel);
+        assert_eq!(row, [ns[3]], "no partial row is left behind");
+        let field = |k: &str| fields.iter().find(|(key, _)| *key == k).map(|(_, v)| v);
+        assert_eq!(field("exhausted").map(String::as_str), Some("true"));
+        assert_eq!(field("fuel").map(String::as_str), Some("3"));
+    }
+
+    #[test]
+    fn harvest_pairs_is_source_major() {
+        let (db, ns) = chain3();
+        let mut al = db.alphabet().clone();
+        let n = nfa("r+", &mut al);
+        let mut pairs = Vec::new();
+        let sources = [ns[2], ns[0], ns[2]];
+        harvest_pairs(&db, &n, sources, &Governor::unlimited(), &mut pairs).unwrap();
+        let expect = [(2, 3), (0, 1), (0, 2), (0, 3), (2, 3)].map(|(x, y)| (ns[x], ns[y]));
+        assert_eq!(pairs, expect);
     }
 
     #[test]

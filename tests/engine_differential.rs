@@ -127,3 +127,117 @@ fn engine_honors_the_deadline() {
         other => panic!("expected a deadline trip, got {other:?}"),
     }
 }
+
+#[test]
+fn striped_answers_match_sequential_on_ragged_stripes() {
+    // No stripe count (2–4 threads) divides these node counts evenly.
+    for nodes in [7usize, 13, 61] {
+        let db = generate::random_gnm(nodes, nodes / 2 + 1, &["a", "b"], nodes as u64);
+        let mut al = db.alphabet().clone();
+        let top = TwoRpq::parse("a (a|b|a-|b-)*", &mut al).unwrap();
+        let subs: Vec<TwoRpq> = ["a", "a b", "a+ b-", "a (b|a-)*", "a a- a"]
+            .iter()
+            .map(|t| TwoRpq::parse(t, &mut al).unwrap())
+            .collect();
+        // The superset only has sources with an outgoing `a` edge, so
+        // subsumed evaluation runs over a sparse source list.
+        let top_answer = top.evaluate(&db);
+        let mut top_sources: Vec<NodeId> = top_answer.iter().map(|&(x, _)| x).collect();
+        top_sources.dedup();
+        assert!(
+            !top_sources.is_empty() && top_sources.len() < nodes,
+            "{nodes} nodes: superset sources {top_sources:?}"
+        );
+        for threads in 1..=4 {
+            let engine = Engine::new(
+                db.clone(),
+                EngineConfig {
+                    threads,
+                    ..EngineConfig::default()
+                },
+            );
+            for q in random_queries(nodes as u64 * 31 + threads as u64, 6) {
+                engine.clear_cache();
+                let got = engine.run(&q).expect("unlimited budgets never trip");
+                assert_eq!(got.disposition, Disposition::Miss);
+                assert_eq!(
+                    *got.answer,
+                    q.evaluate(&db),
+                    "{nodes} nodes, {threads} threads"
+                );
+            }
+            engine.clear_cache();
+            let seeded = engine.run(&top).expect("top query");
+            assert_eq!(*seeded.answer, top_answer);
+            let mut subsumed = 0;
+            for q in &subs {
+                let got = engine.run(q).expect("unlimited budgets never trip");
+                assert_eq!(
+                    *got.answer,
+                    q.evaluate(&db),
+                    "{nodes} nodes, {threads} threads"
+                );
+                subsumed += usize::from(got.disposition == Disposition::Subsumed);
+            }
+            assert!(
+                subsumed > 0,
+                "{nodes} nodes, {threads} threads: no subsumed hit"
+            );
+        }
+    }
+}
+
+/// The largest `fuel` any `engine.stripe` span of one traced cold run of
+/// `q` records.
+fn max_stripe_fuel(engine: &Engine, q: &TwoRpq) -> u64 {
+    use regular_queries::metrics::span::{self, TraceContext};
+    engine.clear_cache();
+    let ctx = TraceContext::start();
+    {
+        let _g = span::install(&ctx, 0);
+        engine.run(q).expect("unlimited budgets never trip");
+    }
+    let trace = ctx.finish("ok", "");
+    trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "engine.stripe")
+        .map(|s| {
+            let (_, fuel) = s.fields.iter().find(|(k, _)| *k == "fuel").expect("fuel");
+            fuel.parse::<u64>().expect("numeric fuel")
+        })
+        .max()
+        .expect("the run striped")
+}
+
+#[test]
+fn budgets_at_the_stripe_fuel_edge_decide_deterministically() {
+    let db = generate::random_gnm(61, 120, &["a", "b"], 8);
+    let engine = Engine::new(
+        db.clone(),
+        EngineConfig {
+            threads: 2,
+            ..EngineConfig::default()
+        },
+    );
+    let q = engine.parse("a (b|a-)*").unwrap();
+    let expect = q.evaluate(&db);
+    let edge = max_stripe_fuel(&engine, &q);
+    for (fuel, fits) in [(edge - 1, false), (edge, true)] {
+        let limits = Limits::unlimited().with_fuel(fuel);
+        for run in 0..20 {
+            engine.clear_cache();
+            match engine.run_with(&q, &limits, None) {
+                Ok(r) => {
+                    assert!(fits, "fuel {fuel} of {edge}, run {run}: answered");
+                    assert_eq!(*r.answer, expect);
+                }
+                Err(EngineError::Exhausted(e)) => {
+                    assert!(!fits, "fuel {fuel} of {edge}, run {run}: {e}");
+                    assert_eq!((e.resource, e.limit), (Resource::Fuel, fuel), "run {run}");
+                }
+                Err(e) => panic!("fuel {fuel}, run {run}: {e}"),
+            }
+        }
+    }
+}

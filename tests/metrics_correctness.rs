@@ -13,7 +13,7 @@
 use regular_queries::engine::CacheConfig;
 use regular_queries::metrics::{fuel_buckets, latency_buckets_us, Histogram, Registry, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 const THREADS: usize = 8;
@@ -89,11 +89,17 @@ fn snapshots_taken_while_writing_never_tear() {
     let c = registry.counter("test_torn_total", "written during snapshots");
     let h = registry.histogram("test_torn_hist", "written during snapshots", &[8, 64, 512]);
     let stop = Arc::new(AtomicBool::new(false));
+    // The reader and the writers start together, so the reader is already
+    // running when the first write lands rather than still being spawned
+    // after the writers have finished.
+    let start = Arc::new(Barrier::new(THREADS + 1));
     let writers: Vec<_> = (0..THREADS)
         .map(|_| {
             let c = Arc::clone(&c);
             let h = Arc::clone(&h);
+            let start = Arc::clone(&start);
             thread::spawn(move || {
+                start.wait();
                 for i in 0..PER_THREAD {
                     c.inc();
                     h.observe(i % 1000);
@@ -105,6 +111,7 @@ fn snapshots_taken_while_writing_never_tear() {
         let registry = Arc::clone(&registry);
         let stop = Arc::clone(&stop);
         thread::spawn(move || {
+            start.wait();
             let mut last_count = 0u64;
             let mut snaps = 0u64;
             while !stop.load(Ordering::Relaxed) {

@@ -92,8 +92,21 @@ fn drain_racing_a_stream_batch_answers_every_line() {
 /// exhaustion report, and promptly — not after the full evaluation.
 #[test]
 fn deadline_mid_evaluation_returns_a_partial_report() {
-    let server =
-        Server::start(engine_on(2500, 10_000, 31), ServeConfig::default()).expect("server starts");
+    // Fuel far above the whole evaluation, so the deadline is the only
+    // budget that can fire, however fast the BFS runs.
+    let fuel = 1_000_000_000;
+    let server = Server::start(
+        engine_on(2500, 10_000, 31),
+        ServeConfig {
+            request_fuel: fuel,
+            quota: TenantQuota {
+                fuel_per_sec: fuel,
+                burst_fuel: fuel,
+            },
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server starts");
     let mut client =
         Client::connect(&server.addr().to_string(), Duration::from_secs(30)).expect("connect");
     let start = Instant::now();
