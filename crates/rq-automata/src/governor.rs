@@ -167,7 +167,8 @@ pub struct Limits {
     pub states: Option<u64>,
     /// Max derived Datalog facts.
     pub tuples: Option<u64>,
-    /// Wall-clock deadline for the whole check.
+    /// Wall-clock deadline for the whole check. A deadline too far ahead
+    /// for [`Instant`] to represent never trips, like no deadline.
     pub deadline: Option<Duration>,
 }
 
@@ -264,7 +265,7 @@ impl Governor {
     pub fn with_cancel(limits: Limits, cancel: Arc<AtomicBool>) -> Self {
         let started = Instant::now();
         Governor {
-            deadline_at: limits.deadline.map(|d| started + d),
+            deadline_at: limits.deadline.and_then(|d| started.checked_add(d)),
             fuel_limit: limits.fuel.unwrap_or(u64::MAX),
             state_limit: limits.states.unwrap_or(u64::MAX),
             tuple_limit: limits.tuples.unwrap_or(u64::MAX),
@@ -531,6 +532,16 @@ mod tests {
         let e = err.expect("deadline must trip within one poll window");
         assert_eq!(e.resource, Resource::Deadline);
         assert!(g.check_wall().is_err());
+    }
+
+    #[test]
+    fn unrepresentable_deadline_never_trips() {
+        let g = Limits::unlimited().with_deadline(Duration::MAX).governor();
+        for _ in 0..=(CHECK_MASK + 1) {
+            g.tick().unwrap();
+        }
+        assert!(g.check_wall().is_ok());
+        assert_eq!(g.limits().deadline, Some(Duration::MAX));
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl Nfa {
         self.transitions.len()
     }
 
-    /// Number of letter transitions (excludes ε).
-    pub fn num_transitions(&self) -> usize {
-        self.transitions.iter().map(Vec::len).sum()
-    }
-
     /// Add a transition `from --letter--> to`.
     pub fn add_transition(&mut self, from: State, letter: Letter, to: State) {
         if !self.transitions[from].contains(&(letter, to)) {

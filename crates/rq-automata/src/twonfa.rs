@@ -158,16 +158,6 @@ impl TwoNfa {
             .collect()
     }
 
-    /// Total number of transitions.
-    pub fn num_transitions(&self) -> usize {
-        self.on_letter
-            .iter()
-            .map(|m| m.values().map(Vec::len).sum::<usize>())
-            .sum::<usize>()
-            + self.on_left.iter().map(Vec::len).sum::<usize>()
-            + self.on_right.iter().map(Vec::len).sum::<usize>()
-    }
-
     /// Embed a one-way ε-free NFA as a 2NFA (used by tests to cross-check
     /// the two membership procedures).
     pub fn from_nfa(nfa: &Nfa) -> TwoNfa {

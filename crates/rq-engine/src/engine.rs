@@ -10,13 +10,14 @@
 
 use crate::cache::{Answer, CacheConfig, CacheStats, Lookup, SemanticCache};
 use crate::pool::WorkerPool;
-use rq_automata::governor::{EngineError, Exhaustion, Governor, Limits, Resource};
+use rq_automata::governor::{EngineError, Governor, Limits, Resource};
 use rq_automata::{Alphabet, LabelId};
 use rq_core::TwoRpq;
 use rq_graph::{frontier, Delta, GraphDb, NodeId};
 use rq_metrics::span;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, RwLock};
@@ -40,26 +41,16 @@ pub struct EngineConfig {
 }
 
 /// Upper bound on [`EngineConfig::threads`], whether configured
-/// explicitly, detected from the machine, or set through `RQ_THREADS`.
-/// Guards against a huge `available_parallelism` (or a fat-fingered
-/// override) turning one engine into hundreds of OS threads.
+/// explicitly or detected from the machine. Guards against a huge
+/// `available_parallelism` turning one engine into hundreds of OS threads.
 pub const DEFAULT_MAX_THREADS: usize = 64;
 
-/// Worker-thread count for [`EngineConfig::default`]: the `RQ_THREADS`
-/// environment variable when set to a positive integer, otherwise
-/// [`std::thread::available_parallelism`]; either way clamped to
-/// `1 ..= max_threads`.
-pub fn detect_threads(max_threads: usize) -> usize {
-    let detected = std::env::var("RQ_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    detected.clamp(1, max_threads.max(1))
+/// Worker-thread count for [`EngineConfig::default`]:
+/// [`std::thread::available_parallelism`] clamped to `1 ..= max_threads`.
+fn detect_threads(max_threads: usize) -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .clamp(1, max_threads.max(1))
 }
 
 impl Default for EngineConfig {
@@ -83,7 +74,7 @@ impl EngineConfig {
     pub fn validate(&self) -> Result<(), EngineError> {
         if self.threads == 0 {
             return Err(EngineError::InvalidInput {
-                message: "config: threads must be at least 1 (use RQ_THREADS or \
+                message: "config: threads must be at least 1 (set \
                           EngineConfig::threads to size the pool)"
                     .into(),
             });
@@ -609,6 +600,10 @@ impl Engine {
     /// stops the evaluation, but the internal first-failure peer-cancel
     /// path runs on its own flag, so an exhausted attempt never flips the
     /// caller's flag and a retry with the same flag starts clean.
+    ///
+    /// A panicking stripe is re-raised here once every stripe has
+    /// reported (see [`run_stripes`]), so a partial answer is never
+    /// returned or cached.
     fn eval_sources(
         &self,
         q: &TwoRpq,
@@ -630,74 +625,46 @@ impl Engine {
         // eval span, so worker-side spans (stripe, per-source BFS) land
         // in the same tree even though they run on pool threads.
         let trace_parent = span::current_context().map(|(ctx, _)| (ctx, eval_span.id()));
-        let peer_cancel = Arc::new(AtomicBool::new(false));
+        let db = Arc::clone(db);
         let nfa = Arc::new(q.nfa().clone());
         let sources: Arc<[NodeId]> = sources.into();
-        let (tx, rx) = channel::<(usize, Result<Vec<(NodeId, NodeId)>, Exhaustion>)>();
-        for s in 0..stripes {
-            let db = Arc::clone(db);
-            let nfa = Arc::clone(&nfa);
-            let sources = Arc::clone(&sources);
-            let tx = tx.clone();
-            let peer_cancel = Arc::clone(&peer_cancel);
-            let external = cancel.clone();
-            let limits = limits.clone();
-            let trace_parent = trace_parent.clone();
-            self.pool.execute(move || {
-                let _trace_guard = trace_parent
-                    .as_ref()
-                    .map(|(ctx, parent)| span::install(ctx, *parent));
-                let mut stripe_span = span::start("engine.stripe");
-                let mut gov = Governor::with_cancel(limits, peer_cancel);
-                if let Some(flag) = external {
-                    gov = gov.watching(flag);
-                }
-                let n = sources.len();
-                let mine = &sources[s * n / stripes..(s + 1) * n / stripes];
-                let mut pairs = Vec::new();
-                let result =
-                    frontier::harvest_pairs(&db, &nfa, mine.iter().copied(), &gov, &mut pairs)
-                        .map(|()| pairs);
+        let limits = limits.clone();
+        let results = run_stripes(&self.pool, stripes, move |s, peer_cancel| {
+            let _trace_guard = trace_parent
+                .as_ref()
+                .map(|(ctx, parent)| span::install(ctx, *parent));
+            let mut stripe_span = span::start("engine.stripe");
+            let mut gov = Governor::with_cancel(limits.clone(), peer_cancel);
+            if let Some(flag) = &cancel {
+                gov = gov.watching(Arc::clone(flag));
+            }
+            let n = sources.len();
+            let mine = &sources[s * n / stripes..(s + 1) * n / stripes];
+            let mut pairs = Vec::new();
+            let result = frontier::harvest_pairs(&db, &nfa, mine.iter().copied(), &gov, &mut pairs)
+                .map(|()| pairs);
+            if result.is_err() {
+                gov.cancel(); // stop the peers
+            }
+            if stripe_span.active() {
+                stripe_span.record("stripe", s);
+                stripe_span.record("fuel", gov.fuel_spent());
                 if result.is_err() {
-                    gov.cancel(); // stop the peers
-                }
-                if stripe_span.active() {
-                    stripe_span.record("stripe", s);
-                    stripe_span.record("fuel", gov.fuel_spent());
-                    if result.is_err() {
-                        stripe_span.record("exhausted", "true");
-                    }
-                }
-                drop(stripe_span);
-                metrics::worker_fuel(gov.fuel_spent(), result.is_ok());
-                let _ = tx.send((s, result));
-            });
-        }
-        drop(tx);
-        let mut runs: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); stripes];
-        let mut error: Option<Exhaustion> = None;
-        for (s, result) in rx {
-            match result {
-                Ok(pairs) => runs[s] = pairs,
-                // Peers cancelled by the first failure also report
-                // `Cancelled`; keep the budget that actually tripped.
-                Err(e) => {
-                    let keep_new = match &error {
-                        None => true,
-                        Some(prev) => {
-                            prev.resource == Resource::Cancelled
-                                && e.resource != Resource::Cancelled
-                        }
-                    };
-                    if keep_new {
-                        error = Some(e);
-                    }
+                    stripe_span.record("exhausted", "true");
                 }
             }
+            drop(stripe_span);
+            metrics::worker_fuel(gov.fuel_spent(), result.is_ok());
+            result
+        });
+        // Peers cancelled by the first failure also report `Cancelled`;
+        // report the budget that actually tripped.
+        let failures = results.iter().filter_map(|r| r.as_ref().err());
+        if let Some(e) = failures.min_by_key(|e| e.resource == Resource::Cancelled) {
+            return Err(EngineError::Exhausted(e.clone()));
         }
-        if let Some(e) = error {
-            return Err(EngineError::Exhausted(e));
-        }
+        // Every result is `Ok` now, so flattening yields the runs.
+        let runs: Vec<Vec<(NodeId, NodeId)>> = results.into_iter().flatten().collect();
         debug_assert!(
             runs.iter().flatten().is_sorted_by(|a, b| a < b),
             "stripe runs concatenate sorted"
@@ -706,6 +673,44 @@ impl Engine {
         // run's buffer is freed as soon as it has been moved out.
         Ok(runs.into_iter().flatten().collect())
     }
+}
+
+/// Run `stripe(s, cancel)` for every `s` in `0..stripes` on `pool` and
+/// return the results in stripe order. All stripes share one `cancel`
+/// flag for stopping their peers.
+///
+/// Each job runs its stripe under `catch_unwind` and reports the outcome,
+/// result or panic payload, over a channel; a panicking stripe sets
+/// `cancel`, as an exhausted stripe does. The caller waits for every
+/// stripe to report, then re-raises the first panic with `resume_unwind`:
+/// it reaches the caller only once no stripe is still running, and never
+/// as a short answer.
+pub(crate) fn run_stripes<T: Send + 'static>(
+    pool: &WorkerPool,
+    stripes: usize,
+    stripe: impl Fn(usize, Arc<AtomicBool>) -> T + Send + Sync + 'static,
+) -> Vec<T> {
+    let stripe = Arc::new(stripe);
+    let cancel = Arc::new(AtomicBool::new(false));
+    let (tx, rx) = channel();
+    for s in 0..stripes {
+        let (stripe, cancel, tx) = (Arc::clone(&stripe), Arc::clone(&cancel), tx.clone());
+        pool.execute(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(|| stripe(s, Arc::clone(&cancel))));
+            if outcome.is_err() {
+                cancel.store(true, Ordering::SeqCst);
+            }
+            let _ = tx.send((s, outcome));
+        });
+    }
+    drop(tx);
+    let mut outcomes: Vec<(usize, std::thread::Result<T>)> = rx.iter().collect();
+    assert_eq!(outcomes.len(), stripes, "every stripe reports");
+    outcomes.sort_unstable_by_key(|&(s, _)| s);
+    outcomes
+        .into_iter()
+        .map(|(_, outcome)| outcome.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
 }
 
 /// Engine-level metrics: per-query and per-batch latency histograms,
@@ -877,6 +882,7 @@ mod metrics {
 mod tests {
     use super::*;
     use rq_graph::generate;
+    use std::sync::atomic::AtomicUsize;
 
     fn engine(threads: usize) -> Engine {
         let db = generate::random_gnm(30, 90, &["a", "b"], 7);
@@ -1116,6 +1122,57 @@ mod tests {
         // The default config is always internally consistent.
         let d = EngineConfig::default();
         assert!(d.threads >= 1 && d.threads <= DEFAULT_MAX_THREADS);
+    }
+
+    #[test]
+    fn stripes_report_in_stripe_order() {
+        let eng = engine(2);
+        let done = Arc::new(AtomicUsize::new(0));
+        let got = run_stripes(&eng.pool, 4, move |s, _| {
+            // Stripe 0 holds one worker until the other worker has run
+            // every later stripe, so it reports last.
+            while s == 0 && done.load(Ordering::SeqCst) < 3 {
+                std::thread::yield_now();
+            }
+            done.fetch_add(1, Ordering::SeqCst);
+            s * 10
+        });
+        assert_eq!(got, vec![0, 10, 20, 30]);
+    }
+
+    #[test]
+    fn a_stripe_panic_is_re_raised_after_every_stripe_reported() {
+        let eng = engine(2);
+        let cancelled = Arc::new(AtomicUsize::new(0));
+        let peers = Arc::clone(&cancelled);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_stripes(&eng.pool, 4, move |s, cancel| {
+                assert_ne!(s, 0, "injected stripe panic");
+                // A peer polls for the panic's cancel, as a governor does,
+                // and then still takes a while to report.
+                let start = std::time::Instant::now();
+                while !cancel.load(Ordering::SeqCst) && start.elapsed().as_secs() < 10 {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                if cancel.load(Ordering::SeqCst) {
+                    peers.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+        }));
+        let payload = outcome.expect_err("the stripe panic reaches the caller");
+        let message = payload.downcast_ref::<String>().expect("formatted message");
+        assert!(message.contains("injected stripe panic"), "{message}");
+        assert_eq!(
+            cancelled.load(Ordering::SeqCst),
+            3,
+            "peers cancelled, all reported"
+        );
+        // The workers survived: the same engine still answers correctly.
+        let q = eng.parse("a (a|b)*").unwrap();
+        let got = eng.run(&q).unwrap();
+        assert_eq!(got.disposition, Disposition::Miss);
+        assert_eq!(*got.answer, q.evaluate(&eng.db()));
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   exact-match and cut off runaway queries instead of stalling the
 //!   server.
 //!
-//! Modules: [`pool`] (fixed worker pool), [`cache`] (the semantic cache),
-//! [`engine`] (the [`Engine`] front end with single-query and batch entry
-//! points).
+//! Modules: [`cache`] (the semantic cache) and [`engine`] (the [`Engine`]
+//! front end with single-query and batch entry points, over a private
+//! fixed worker pool).
 //!
 //! ## Example
 //!
@@ -40,10 +40,9 @@
 
 pub mod cache;
 pub mod engine;
-pub mod pool;
+mod pool;
 
 pub use cache::{Answer, CacheConfig, CacheStats, Lookup, SemanticCache};
 pub use engine::{
     BatchItem, BatchReport, DeltaReport, Disposition, Engine, EngineConfig, QueryResult,
 };
-pub use pool::WorkerPool;

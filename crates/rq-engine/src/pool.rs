@@ -1,228 +1,108 @@
-//! A small fixed-size worker pool with panic isolation.
+//! A small fixed-size worker pool: `n` persistent OS threads draining one
+//! FIFO job queue.
 //!
-//! The engine's unit of parallelism is one product BFS per source node, so
-//! all it needs is a channel of boxed jobs drained by `n` OS threads — no
-//! work stealing, no external crates (the workspace builds offline). Jobs
-//! carry their own governors; the pool never touches query state.
-//!
-//! Failure isolation: a job that panics must not take serving capacity
-//! with it. Every job runs under [`catch_unwind`], so a panic fails only
-//! that job (counted in `rq_pool_worker_panics_total`) and the worker
-//! keeps draining the queue. If a panic nevertheless escapes the guard
-//! (e.g. a panic while dropping the payload), a sentinel respawns the
-//! worker thread, so the pool never shrinks below its configured size.
+//! The engine's unit of parallelism is one stripe of product BFS searches,
+//! so all it needs is a channel of boxed jobs — no work stealing, no
+//! external crates (the workspace builds offline). Jobs carry their own
+//! governors and report their own outcome, a panic included, over a
+//! channel of their own (see `Engine::eval_sources`), so a job never
+//! unwinds into the pool and the pool needs no panic handling.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::JoinHandle;
+
+use rq_metrics::{global, Gauge};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// State shared between the pool handle and its workers. Worker lifetime
-/// is tracked by a live count + condvar (not `JoinHandle`s) so respawned
-/// workers are waited on exactly like original ones.
-struct Shared {
-    receiver: Mutex<Receiver<Job>>,
-    live: Mutex<usize>,
-    exited: Condvar,
-    shutting_down: AtomicBool,
-}
-
-impl Shared {
-    /// Pop the next job. The queue mutex carries no invariants of its own
-    /// (it only serializes `recv`), so a poisoned lock — some worker
-    /// panicked between `lock` and `recv` — is recovered, not propagated.
-    fn next_job(&self) -> Option<Job> {
-        let guard = self.receiver.lock().unwrap_or_else(|e| e.into_inner());
-        guard.recv().ok()
-    }
-}
-
 /// A fixed set of worker threads draining a shared job queue. Dropping the
-/// pool closes the queue and waits for every worker (pending jobs finish
+/// pool closes the queue and joins every worker (pending jobs finish
 /// first).
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
+    /// `None` only inside `Drop`, which closes the queue by dropping it.
     sender: Option<Sender<Job>>,
-    shared: Arc<Shared>,
-    threads: usize,
+    workers: Vec<JoinHandle<()>>,
 }
 
-/// Respawns the worker if its thread unwinds out of the drain loop (a
-/// panic that escaped `catch_unwind`), and always announces the exit so
-/// `Drop for WorkerPool` can account for every thread it is waiting on.
-struct Sentinel {
-    shared: Arc<Shared>,
-    index: usize,
-}
-
-impl Drop for Sentinel {
-    fn drop(&mut self) {
-        if std::thread::panicking() && !self.shared.shutting_down.load(Ordering::SeqCst) {
-            metrics::worker_respawned();
-            spawn_worker(Arc::clone(&self.shared), self.index);
-        }
-        let mut live = self.shared.live.lock().unwrap_or_else(|e| e.into_inner());
-        *live -= 1;
-        drop(live);
-        self.shared.exited.notify_all();
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.next_job() {
-        metrics::job_started();
-        let outcome = catch_unwind(AssertUnwindSafe(job));
-        metrics::job_finished(outcome.is_ok());
-    }
-}
-
-fn spawn_worker(shared: Arc<Shared>, index: usize) {
-    {
-        let mut live = shared.live.lock().unwrap_or_else(|e| e.into_inner());
-        *live += 1;
-    }
-    let for_thread = Arc::clone(&shared);
-    let spawned = std::thread::Builder::new()
-        .name(format!("rq-engine-worker-{index}"))
-        .spawn(move || {
-            let _sentinel = Sentinel {
-                shared: Arc::clone(&for_thread),
-                index,
-            };
-            worker_loop(&for_thread);
-        });
-    if spawned.is_err() {
-        // Could not get an OS thread: undo the registration so shutdown
-        // does not wait forever on a worker that never existed.
-        let mut live = shared.live.lock().unwrap_or_else(|e| e.into_inner());
-        *live -= 1;
-        drop(live);
-        shared.exited.notify_all();
+fn worker_loop(receiver: &Mutex<Receiver<Job>>) {
+    loop {
+        // A `let` statement drops the guard at its end, so the queue lock
+        // is held for `recv` only, never while the job runs.
+        let Ok(job) = receiver
+            .lock()
+            .expect("no thread panics holding the queue lock")
+            .recv()
+        else {
+            return; // the pool closed the queue and it is drained
+        };
+        queue_depth().sub(1);
+        job();
     }
 }
 
 impl WorkerPool {
     /// Spawn `threads` workers (at least one).
-    pub fn new(threads: usize) -> WorkerPool {
-        let threads = threads.max(1);
+    pub(crate) fn new(threads: usize) -> WorkerPool {
         let (sender, receiver) = channel::<Job>();
-        let shared = Arc::new(Shared {
-            receiver: Mutex::new(receiver),
-            live: Mutex::new(0),
-            exited: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
-        });
-        for i in 0..threads {
-            spawn_worker(Arc::clone(&shared), i);
-        }
+        let receiver = Arc::new(Mutex::new(receiver));
+        let workers = (0..threads.max(1))
+            .map(|i| {
+                let receiver = Arc::clone(&receiver);
+                std::thread::Builder::new()
+                    .name(format!("rq-engine-worker-{i}"))
+                    .spawn(move || worker_loop(&receiver))
+                    .expect("spawn an engine worker thread")
+            })
+            .collect();
         WorkerPool {
             sender: Some(sender),
-            shared,
-            threads,
+            workers,
         }
     }
 
     /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
+    pub(crate) fn threads(&self) -> usize {
+        self.workers.len()
     }
 
-    /// Enqueue a job. Jobs run in submission order per worker but complete
-    /// in any order; use a results channel to collect outputs. If the
-    /// queue is unexpectedly closed the job runs inline on the caller's
-    /// thread rather than being dropped or panicking.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        metrics::job_submitted();
-        let send_failed = match &self.sender {
-            Some(sender) => sender.send(Box::new(job)).err(),
-            None => unreachable!("sender only taken in Drop"),
-        };
-        if let Some(failed) = send_failed {
-            metrics::job_started();
-            let outcome = catch_unwind(AssertUnwindSafe(failed.0));
-            metrics::job_finished(outcome.is_ok());
-        }
-    }
-}
-
-/// Pool metrics: jobs submitted/completed, the instantaneous queue depth
-/// (submitted but not yet picked up by a worker), panics caught, and
-/// workers respawned after an escaped panic.
-mod metrics {
-    use rq_metrics::{global, Counter, Gauge};
-    use std::sync::{Arc, OnceLock};
-
-    struct Cells {
-        submitted: Arc<Counter>,
-        completed: Arc<Counter>,
-        panics: Arc<Counter>,
-        respawns: Arc<Counter>,
-        depth: Arc<Gauge>,
-    }
-
-    fn cells() -> &'static Cells {
-        static CELLS: OnceLock<Cells> = OnceLock::new();
-        CELLS.get_or_init(|| Cells {
-            submitted: global().counter("rq_pool_jobs_total", "Jobs submitted to the worker pool"),
-            completed: global().counter("rq_pool_jobs_completed_total", "Jobs run to completion"),
-            panics: global().counter(
-                "rq_pool_worker_panics_total",
-                "Jobs that panicked; the panic was caught and the worker kept serving",
-            ),
-            respawns: global().counter(
-                "rq_pool_worker_respawns_total",
-                "Workers respawned after a panic escaped the per-job guard",
-            ),
-            depth: global().gauge(
-                "rq_pool_queue_depth",
-                "Jobs enqueued but not yet picked up by a worker",
-            ),
-        })
-    }
-
-    pub(super) fn job_submitted() {
-        let c = cells();
-        c.submitted.inc();
-        c.depth.add(1);
-    }
-
-    pub(super) fn job_started() {
-        cells().depth.sub(1);
-    }
-
-    pub(super) fn job_finished(ok: bool) {
-        let c = cells();
-        if ok {
-            c.completed.inc();
-        } else {
-            c.panics.inc();
-        }
-    }
-
-    pub(super) fn worker_respawned() {
-        cells().respawns.inc();
+    /// Enqueue a job. Jobs start in submission order but complete in any
+    /// order; use a results channel to collect outputs. The job must not
+    /// unwind.
+    pub(crate) fn execute(&self, job: impl FnOnce() + Send + 'static) {
+        queue_depth().add(1);
+        let sender = self.sender.as_ref().expect("the queue closes only in Drop");
+        sender
+            .send(Box::new(job))
+            .expect("workers live as long as the pool");
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
         drop(self.sender.take());
-        let mut live = self.shared.live.lock().unwrap_or_else(|e| e.into_inner());
-        while *live > 0 {
-            live = self
-                .shared
-                .exited
-                .wait(live)
-                .unwrap_or_else(|e| e.into_inner());
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
+}
+
+/// The pool's one metric: jobs enqueued but not yet picked up by a worker.
+fn queue_depth() -> &'static Gauge {
+    static DEPTH: OnceLock<Arc<Gauge>> = OnceLock::new();
+    DEPTH.get_or_init(|| {
+        global().gauge(
+            "rq_pool_queue_depth",
+            "Jobs enqueued but not yet picked up by a worker",
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::run_stripes;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -269,14 +149,17 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 16);
     }
 
-    /// A panicking job fails alone: every other job — including jobs
-    /// submitted *after* the panics — still runs, on a pool of one worker
-    /// (so the panicking and surviving jobs share a thread).
+    /// A panicking job fails alone: its stripe wrapper catches the panic
+    /// and hands it to the caller, and the worker keeps serving — on a
+    /// pool of one worker, so the panicking and later jobs share a thread.
     #[test]
     fn panicking_job_does_not_kill_the_worker() {
         let pool = WorkerPool::new(1);
         for _ in 0..8 {
-            pool.execute(|| panic!("injected job panic"));
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_stripes(&pool, 1, |_, _| panic!("injected job panic"))
+            }));
+            assert!(outcome.is_err(), "the panic reaches the caller");
         }
         let (tx, rx) = channel();
         pool.execute(move || tx.send(42).unwrap());
@@ -284,22 +167,22 @@ mod tests {
     }
 
     /// Interleaved panics and real work on several workers: every real
-    /// job completes and the pool still drains cleanly on drop.
+    /// stripe completes before the panic is re-raised, and the pool still
+    /// drains cleanly on drop.
     #[test]
     fn panics_interleaved_with_work() {
         let hits = Arc::new(AtomicUsize::new(0));
         {
             let pool = WorkerPool::new(3);
-            for i in 0..60 {
-                if i % 3 == 0 {
-                    pool.execute(|| panic!("chaos"));
-                } else {
-                    let hits = Arc::clone(&hits);
-                    pool.execute(move || {
-                        hits.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            }
+            let counted = Arc::clone(&hits);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_stripes(&pool, 60, move |s, _| {
+                    assert_ne!(s % 3, 0, "chaos");
+                    counted.fetch_add(1, Ordering::SeqCst);
+                })
+            }));
+            assert!(outcome.is_err(), "the panic reaches the caller");
+            assert_eq!(hits.load(Ordering::SeqCst), 40);
         }
         assert_eq!(hits.load(Ordering::SeqCst), 40);
     }

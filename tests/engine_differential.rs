@@ -241,3 +241,87 @@ fn budgets_at_the_stripe_fuel_edge_decide_deterministically() {
         }
     }
 }
+
+#[test]
+fn an_unrepresentable_deadline_never_trips_and_caches_the_full_answer() {
+    let db = generate::random_gnm(30, 90, &["a", "b"], 7);
+    let engine = Engine::new(
+        db.clone(),
+        EngineConfig {
+            threads: 2,
+            ..EngineConfig::default()
+        },
+    );
+    let q = engine.parse("a+").unwrap();
+    let expect = q.evaluate(&db);
+    assert!(!expect.is_empty());
+    // `Instant::now() + Duration::MAX` overflows: the deadline must act as
+    // no deadline, not fail the stripes.
+    let far = Limits::unlimited().with_deadline(std::time::Duration::MAX);
+    let got = engine
+        .run_with(&q, &far, None)
+        .expect("a deadline past the end of time never trips");
+    assert_eq!(got.disposition, Disposition::Miss);
+    assert_eq!(*got.answer, expect);
+    let again = engine.run(&q).expect("unlimited budgets never trip");
+    assert_eq!(again.disposition, Disposition::Exact);
+    assert_eq!(*again.answer, expect);
+}
+
+#[test]
+fn concurrent_callers_match_sequential() {
+    let db = generate::random_gnm(120, 480, &["a", "b"], 42);
+    let engine = Engine::new(
+        db.clone(),
+        EngineConfig {
+            threads: 2,
+            ..EngineConfig::default()
+        },
+    );
+    // Every forward word of length 4 or 5: 48 queries, pairwise
+    // incomparable, so no cached answer can serve another.
+    let words: Vec<String> = (4..=5)
+        .flat_map(|len| {
+            (0..1u32 << len).map(move |bits| {
+                let letters: Vec<&str> = (0..len)
+                    .map(|i| if bits >> i & 1 == 0 { "a" } else { "b" })
+                    .collect();
+                letters.join(" ")
+            })
+        })
+        .collect();
+    // Four callers with six distinct words each: 24 keys, all of which fit
+    // in the default cache.
+    let callers: Vec<Vec<_>> = (0..4)
+        .map(|t| {
+            words
+                .iter()
+                .skip(t)
+                .step_by(8)
+                .map(|w| {
+                    let q = engine.parse(w).unwrap();
+                    let expect = q.evaluate(&db);
+                    (q, expect)
+                })
+                .collect()
+        })
+        .collect();
+    // The first pass evaluates cold, with every caller striping over the
+    // same two workers at once; the second pass is served from the cache.
+    let start = std::sync::Barrier::new(callers.len());
+    for pass in [Disposition::Miss, Disposition::Exact] {
+        std::thread::scope(|s| {
+            for queries in &callers {
+                let (engine, start) = (&engine, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for (q, expect) in queries {
+                        let got = engine.run(q).expect("unlimited budgets never trip");
+                        assert_eq!(got.disposition, pass);
+                        assert_eq!(*got.answer, *expect);
+                    }
+                });
+            }
+        });
+    }
+}
