@@ -66,11 +66,9 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// Validate the configuration, returning a structured error instead
-    /// of panicking (or silently misbehaving) later. Checks that `threads`
-    /// is in `1 ..=` [`DEFAULT_MAX_THREADS`], and that the
-    /// cache is not configured to probe with zero candidates *and* a
-    /// zero-capacity store (a useless but historically panic-free combo
-    /// is allowed; a zero cap alone is fine — it disables caching).
+    /// of panicking (or silently misbehaving) later. Checks only that
+    /// `threads` is in `1 ..=` [`DEFAULT_MAX_THREADS`]; every cache
+    /// setting is valid (a zero capacity disables caching).
     pub fn validate(&self) -> Result<(), EngineError> {
         if self.threads == 0 {
             return Err(EngineError::InvalidInput {

@@ -1,7 +1,6 @@
 //! Server configuration and its structured validation.
 
 use crate::faults::FaultPlan;
-use crate::retry::RetryPolicy;
 use rq_metrics::recorder::RecorderConfig;
 use std::time::Duration;
 
@@ -54,8 +53,6 @@ pub struct ServeConfig {
     pub request_fuel: u64,
     /// How long a drain may take before in-flight work is cancelled.
     pub drain_deadline: Duration,
-    /// Retry policy for `Unknown`/exhausted outcomes.
-    pub retry: RetryPolicy,
     /// Per-tenant admission quota.
     pub quota: TenantQuota,
     /// Deterministic fault-injection plan (active only when the crate is
@@ -80,7 +77,6 @@ impl Default for ServeConfig {
             request_timeout: Duration::from_secs(2),
             request_fuel: 200_000,
             drain_deadline: Duration::from_secs(5),
-            retry: RetryPolicy::default(),
             quota: TenantQuota::default(),
             faults: FaultPlan::none(),
             idle_timeout: Duration::from_millis(500),

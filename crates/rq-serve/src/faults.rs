@@ -8,9 +8,8 @@
 //! erases, so production builds carry zero chaos overhead.
 //!
 //! Sites map to the failure domains the server hardens:
-//! * [`FaultSite::Pool`] — worker job bodies (panic / delay / starve);
-//! * [`FaultSite::CacheProbe`] — evaluation budgets (fuel starvation, so
-//!   the retry/partial-result path fires);
+//! * [`FaultSite::Pool`] — worker job bodies (panic / delay / fuel
+//!   starvation, so the exhaustion path fires);
 //! * [`FaultSite::Io`] — connection handling (delays and dropped
 //!   connections).
 
@@ -21,8 +20,6 @@ use std::time::Duration;
 pub enum FaultSite {
     /// Inside a serve worker, around one admitted job.
     Pool,
-    /// Around the engine evaluation's budget (fuel starvation).
-    CacheProbe,
     /// Around connection I/O.
     Io,
 }
@@ -121,7 +118,6 @@ impl FaultPlan {
             }
             let site_tag = match site {
                 FaultSite::Pool => 0x706F6F6Cu64,
-                FaultSite::CacheProbe => 0x70726F62u64,
                 FaultSite::Io => 0x00696F00u64,
             };
             let draw = splitmix64(self.seed ^ site_tag.rotate_left(17) ^ seq) % 1_000_000;

@@ -8,21 +8,22 @@
 //!   fuel ([`bucket`]), then a bounded submission queue ([`queue`]).
 //!   Overload is answered immediately (`429` + `Retry-After` derived from
 //!   queue depth), never buffered without bound.
-//! * **Execution** — serve workers run each job under `catch_unwind`, a
-//!   per-request fuel + deadline budget, and cooperative cancellation; a
-//!   panicking query is answered `error[internal]` while its neighbours
-//!   complete untouched ([`server`]).
-//! * **Retry** — exhausted outcomes are idempotent and retried with
-//!   decorrelated-jitter backoff under a global retry budget ([`retry`]);
-//!   when retries run out, the response carries the last structured
-//!   exhaustion report instead of a bare failure.
+//! * **Execution** — serve workers run each job once under
+//!   `catch_unwind`, a per-request fuel + deadline budget, and
+//!   cooperative cancellation; a panicking query is answered
+//!   `error[internal]` while its neighbours complete untouched
+//!   ([`server`]).
+//! * **Exhaustion** — a spent fuel, state or tuple budget is a verdict
+//!   the same budget reproduces, not a transient fault: the `422`
+//!   carries the evaluation's structured exhaustion report instead of a
+//!   bare failure, and is never retried.
 //! * **Drain** — `SIGTERM` ([`signal`]) or `POST /drainz` stops
 //!   admission, finishes the backlog within the drain deadline, cancels
 //!   the rest, and flushes metrics one final time.
 //! * **Chaos** — a deterministic, seeded [`faults::FaultPlan`] injects
-//!   panics, delays, and fuel starvation at the pool, cache-probe, and
-//!   I/O boundaries (behind the `faults` feature) so all of the above is
-//!   exercised by tests rather than trusted.
+//!   panics, delays, and fuel starvation at the pool and I/O boundaries
+//!   (behind the `faults` feature) so all of the above is exercised by
+//!   tests rather than trusted.
 //!
 //! The wire protocol is hand-rolled HTTP/1.1 with JSON bodies ([`http`]);
 //! the crate (like the rest of the workspace) has no external
@@ -34,7 +35,6 @@ pub mod config;
 pub mod faults;
 pub mod http;
 pub mod queue;
-pub mod retry;
 pub mod server;
 pub mod signal;
 
@@ -44,5 +44,4 @@ pub use config::{ConfigError, ServeConfig, TenantQuota};
 pub use faults::{Fault, FaultPlan, FaultSite};
 pub use http::Client;
 pub use queue::{BoundedQueue, PushError};
-pub use retry::{RetryBudget, RetryPolicy};
 pub use server::{DrainReport, Server};

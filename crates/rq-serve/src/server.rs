@@ -3,19 +3,18 @@
 //! One accept loop feeds per-connection handler threads; handlers admit
 //! requests (tenant bucket, then bounded queue) and park on a
 //! [`JobCell`]; serve workers pop jobs and execute them against the
-//! engine under `catch_unwind`, per-request budgets, and the retry
-//! policy. Every admitted job is answered exactly once — by its worker,
-//! or by the drain sweep that empties the queue at the deadline. The
-//! failure ladder is: shed at admission (429/503) → retry within budget →
-//! partial exhaustion report (422) → contained panic (500) — the process
-//! itself never goes down with a request.
+//! engine once under `catch_unwind` and per-request budgets. Every
+//! admitted job is answered exactly once — by its worker, or by the drain
+//! sweep that empties the queue at the deadline. The failure ladder is:
+//! shed at admission (429/503) → deadline or drain (408/503) → exhaustion
+//! report of the one evaluation (422) → contained panic (500) — the
+//! process itself never goes down with a request.
 
 use crate::bucket::{Admission, TenantBuckets};
 use crate::config::{ConfigError, ServeConfig};
 use crate::faults::{Fault, FaultSite};
 use crate::http::{read_request, write_response, HttpError, Request};
 use crate::queue::{BoundedQueue, PushError};
-use crate::retry::{decorrelated_jitter, RetryBudget, Rng};
 use rq_automata::governor::{EngineError, Exhaustion, Limits, Resource};
 use rq_engine::Engine;
 use rq_graph::Delta;
@@ -137,7 +136,6 @@ struct Inner {
     recorder: Recorder,
     queue: BoundedQueue<Job>,
     buckets: TenantBuckets,
-    budget: RetryBudget,
     /// Cancellation flags of jobs currently executing, by job id.
     inflight: Mutex<HashMap<u64, Arc<AtomicBool>>>,
     /// Async (`/submit`) jobs awaiting `/poll`, by job id.
@@ -194,7 +192,6 @@ impl Server {
             recorder: Recorder::new(cfg.tracing.clone()),
             queue: BoundedQueue::new(cfg.queue_capacity),
             buckets: TenantBuckets::new(cfg.quota.clone()),
-            budget: RetryBudget::new(cfg.retry.max_retries.max(1) * 8),
             inflight: Mutex::new(HashMap::new()),
             async_jobs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
@@ -576,17 +573,17 @@ fn parse_query_body(text: &str) -> (String, bool) {
 }
 
 /// Admit one query body: tenant bucket, then bounded queue. On success the
-/// job is enqueued and its cell + trace id returned; on shed, the
-/// structured refusal. Every admitted job gets a trace context — fresh,
-/// or adopted from a well-formed `X-RQ-Trace-Id` header — whose id the
-/// response echoes; span capture is head-sampled (forced on by
+/// job is enqueued and its id, cell, trace id and timeout returned; on
+/// shed, the structured refusal. Every admitted job gets a trace context
+/// — fresh, or adopted from a well-formed `X-RQ-Trace-Id` header — whose
+/// id the response echoes; span capture is head-sampled (forced on by
 /// `explain`).
 fn admit(
     inner: &Arc<Inner>,
     req: &Request,
     text: &str,
     explain: bool,
-) -> Result<(u64, Arc<JobCell>, String), Resp> {
+) -> Result<(u64, Arc<JobCell>, String, Duration), Resp> {
     let (tenant, fuel, timeout) = request_knobs(inner, req);
     if text.trim().is_empty() {
         return Err(Resp::json(
@@ -638,7 +635,7 @@ fn admit(
     match inner.queue.push(job) {
         Ok(depth) => {
             metrics::queue_depth(depth);
-            Ok((id, cell, trace_hex))
+            Ok((id, cell, trace_hex, timeout))
         }
         Err(PushError::Full { depth, .. }) => {
             metrics::shed("queue");
@@ -673,8 +670,7 @@ fn query_sync(inner: &Arc<Inner>, req: &Request) -> Resp {
         Err(e) => return Resp::json(400, error_body(0, "invalid", &e.to_string(), vec![])),
     };
     let (query, explain) = parse_query_body(&text);
-    let (_, _, timeout) = request_knobs(inner, req);
-    let (id, cell, trace_hex) = match admit(inner, req, &query, explain) {
+    let (id, cell, trace_hex, timeout) = match admit(inner, req, &query, explain) {
         Ok(ok) => ok,
         Err(resp) => return resp,
     };
@@ -711,7 +707,7 @@ fn submit_async(inner: &Arc<Inner>, req: &Request) -> Resp {
     }
     let (query, explain) = parse_query_body(&text);
     match admit(inner, req, &query, explain) {
-        Ok((id, cell, _)) => {
+        Ok((id, cell, _, _)) => {
             inner
                 .async_jobs
                 .lock()
@@ -771,14 +767,15 @@ fn stream(inner: &Arc<Inner>, req: &Request) -> Resp {
         Ok(t) => t.to_string(),
         Err(e) => return Resp::json(400, error_body(0, "invalid", &e.to_string(), vec![])),
     };
-    let (_, _, timeout) = request_knobs(inner, req);
     let mut lines = Vec::new();
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         let line_resp = match admit(inner, req, line, false) {
-            Ok((id, cell, _)) => match cell.wait_until(Instant::now() + timeout + STUCK_GRACE) {
-                Some((_, body)) => body,
-                None => error_body(id, "internal", "worker never answered", vec![]),
-            },
+            Ok((id, cell, _, timeout)) => {
+                match cell.wait_until(Instant::now() + timeout + STUCK_GRACE) {
+                    Some((_, body)) => body,
+                    None => error_body(id, "internal", "worker never answered", vec![]),
+                }
+            }
             Err(resp) => resp.body,
         };
         lines.push(line_resp);
@@ -944,10 +941,6 @@ fn healthz(inner: &Arc<Inner>) -> Resp {
             ("queue_depth".to_string(), num(inner.queue.depth() as u64)),
             ("tenants".to_string(), num(inner.buckets.tenants() as u64)),
             (
-                "retry_budget".to_string(),
-                num(u64::from(inner.budget.remaining())),
-            ),
-            (
                 "uptime_ms".to_string(),
                 num(inner.started.elapsed().as_millis() as u64),
             ),
@@ -1075,10 +1068,9 @@ fn decide_fault(inner: &Inner, site: FaultSite) -> Option<Fault> {
     fault
 }
 
-/// Execute one admitted job: parse, then evaluate under the per-request
-/// budget with idempotent retries of exhausted outcomes. Every exit path
-/// returns a structured body; panics (real or injected) escape to the
-/// worker's `catch_unwind`.
+/// Execute one admitted job: parse, then evaluate once under the
+/// per-request budget. Every exit path returns a structured body; panics
+/// (real or injected) escape to the worker's `catch_unwind`.
 fn execute(inner: &Arc<Inner>, job: &Job) -> (u16, String) {
     let started = Instant::now();
     if job.cancel.load(Ordering::SeqCst) {
@@ -1106,128 +1098,67 @@ fn execute(inner: &Arc<Inner>, job: &Job) -> (u16, String) {
         Ok(q) => q,
         Err(e) => return (400, error_body(job.id, "invalid", &e.to_string(), vec![])),
     };
-    let mut rng = Rng::new(inner.cfg.faults.seed ^ job.id);
-    let mut attempts = 0u32;
-    let mut previous_delay = inner.cfg.retry.base;
-    loop {
-        attempts += 1;
-        let mut fuel = job.fuel;
-        // Injected faults, per attempt: the pool site may panic, stall, or
-        // starve the whole attempt; the cache-probe site starves the fuel
-        // budget so the exhaustion/retry machinery gets exercised.
-        match decide_fault(inner, FaultSite::Pool) {
-            Some(Fault::Panic) => panic!("injected fault: pool panic (job {})", job.id),
-            Some(Fault::Delay(d)) => std::thread::sleep(d),
-            Some(Fault::Starve) => fuel = 1,
-            None => {}
+    let mut fuel = job.fuel;
+    // Injected pool fault: panic, stall, or starve the evaluation's fuel
+    // so the exhaustion path fires.
+    match decide_fault(inner, FaultSite::Pool) {
+        Some(Fault::Panic) => panic!("injected fault: pool panic (job {})", job.id),
+        Some(Fault::Delay(d)) => std::thread::sleep(d),
+        Some(Fault::Starve) => fuel = 1,
+        None => {}
+    }
+    let limits = Limits::unlimited()
+        .with_fuel(fuel)
+        .with_deadline(job.deadline.saturating_duration_since(Instant::now()));
+    let e = match inner
+        .engine
+        .run_with(&q, &limits, Some(Arc::clone(&job.cancel)))
+    {
+        Ok(result) => return (200, success_body(inner, job.id, &result, started)),
+        Err(EngineError::InvalidInput { message }) => {
+            return (400, error_body(job.id, "invalid", &message, vec![]))
         }
-        if matches!(
-            decide_fault(inner, FaultSite::CacheProbe),
-            Some(Fault::Starve | Fault::Panic)
-        ) {
-            fuel = 1;
-        }
-        let now = Instant::now();
-        if now >= job.deadline {
+        Err(EngineError::Exhausted(e)) => e,
+    };
+    match e.resource {
+        // The flag is shared: a drain and a handler timeout both land
+        // here; report whichever caused it.
+        Resource::Cancelled if inner.draining.load(Ordering::SeqCst) => (
+            503,
+            error_body_with_exhaustion(job.id, "draining", "evaluation cancelled by drain", &e),
+        ),
+        Resource::Cancelled => {
             metrics::deadline_timeout();
-            return (
+            (
                 408,
-                error_body(
+                error_body_with_exhaustion(
                     job.id,
                     "deadline",
-                    "deadline expired between attempts",
-                    vec![("attempts", num(u64::from(attempts)))],
+                    "evaluation cancelled at the deadline",
+                    &e,
                 ),
-            );
+            )
         }
-        let limits = Limits::unlimited()
-            .with_fuel(fuel)
-            .with_deadline(job.deadline - now);
-        match inner
-            .engine
-            .run_with(&q, &limits, Some(Arc::clone(&job.cancel)))
-        {
-            Ok(result) => {
-                inner.budget.record_success();
-                return (200, success_body(inner, job.id, &result, attempts, started));
-            }
-            Err(EngineError::InvalidInput { message }) => {
-                return (400, error_body(job.id, "invalid", &message, vec![]))
-            }
-            Err(EngineError::Exhausted(e)) => match e.resource {
-                Resource::Cancelled => {
-                    // The flag is shared: a drain and a handler timeout
-                    // both land here; report whichever caused it.
-                    return if inner.draining.load(Ordering::SeqCst) {
-                        (
-                            503,
-                            error_body_with_exhaustion(
-                                job.id,
-                                "draining",
-                                "evaluation cancelled by drain",
-                                &e,
-                                attempts,
-                            ),
-                        )
-                    } else {
-                        metrics::deadline_timeout();
-                        (
-                            408,
-                            error_body_with_exhaustion(
-                                job.id,
-                                "deadline",
-                                "evaluation cancelled at the deadline",
-                                &e,
-                                attempts,
-                            ),
-                        )
-                    };
-                }
-                Resource::Deadline => {
-                    metrics::deadline_timeout();
-                    return (
-                        408,
-                        error_body_with_exhaustion(
-                            job.id,
-                            "deadline",
-                            "evaluation hit the request deadline",
-                            &e,
-                            attempts,
-                        ),
-                    );
-                }
-                // Fuel / states / tuples: idempotent and retryable while
-                // the retry budget, attempt cap, and deadline all allow.
-                _ => {
-                    let can_retry = attempts <= inner.cfg.retry.max_retries
-                        && Instant::now() < job.deadline
-                        && !inner.draining.load(Ordering::SeqCst);
-                    if can_retry {
-                        if inner.budget.try_spend() {
-                            metrics::retry();
-                            previous_delay =
-                                decorrelated_jitter(&inner.cfg.retry, &mut rng, previous_delay);
-                            let remaining = job.deadline.saturating_duration_since(Instant::now());
-                            std::thread::sleep(previous_delay.min(remaining));
-                            continue;
-                        }
-                        metrics::retry_budget_exhausted();
-                    }
-                    metrics::exhausted();
-                    // Partial result: the structured report of the budget
-                    // that tripped on the *last* attempt.
-                    return (
-                        422,
-                        error_body_with_exhaustion(
-                            job.id,
-                            "exhausted",
-                            "evaluation budget exhausted",
-                            &e,
-                            attempts,
-                        ),
-                    );
-                }
-            },
+        Resource::Deadline => {
+            metrics::deadline_timeout();
+            (
+                408,
+                error_body_with_exhaustion(
+                    job.id,
+                    "deadline",
+                    "evaluation hit the request deadline",
+                    &e,
+                ),
+            )
+        }
+        // Fuel / states / tuples: the same budget reproduces the same
+        // exhaustion, so the report is the answer.
+        _ => {
+            metrics::exhausted();
+            (
+                422,
+                error_body_with_exhaustion(job.id, "exhausted", "evaluation budget exhausted", &e),
+            )
         }
     }
 }
@@ -1247,7 +1178,6 @@ fn success_body(
     inner: &Inner,
     id: u64,
     result: &rq_engine::QueryResult,
-    attempts: u32,
     started: Instant,
 ) -> String {
     let pairs = result.answer.len();
@@ -1270,7 +1200,6 @@ fn success_body(
             "truncated".to_string(),
             Json::Bool(pairs > MAX_INLINE_PAIRS),
         ),
-        ("attempts".to_string(), num(u64::from(attempts))),
         (
             "degraded".to_string(),
             Json::Bool(inner.engine.is_degraded()),
@@ -1316,22 +1245,8 @@ fn exhaustion_json(e: &Exhaustion) -> Json {
     ])
 }
 
-fn error_body_with_exhaustion(
-    id: u64,
-    code: &str,
-    message: &str,
-    e: &Exhaustion,
-    attempts: u32,
-) -> String {
-    error_body(
-        id,
-        code,
-        message,
-        vec![
-            ("exhaustion", exhaustion_json(e)),
-            ("attempts", num(u64::from(attempts))),
-        ],
-    )
+fn error_body_with_exhaustion(id: u64, code: &str, message: &str, e: &Exhaustion) -> String {
+    error_body(id, code, message, vec![("exhaustion", exhaustion_json(e))])
 }
 
 // ---------------------------------------------------------------------------
@@ -1428,28 +1343,6 @@ mod metrics {
             )
         })
         .set(now.max(0) as u64);
-    }
-
-    pub(super) fn retry() {
-        static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-        CELL.get_or_init(|| {
-            global().counter(
-                "rq_serve_retries_total",
-                "Exhausted evaluations retried with backoff",
-            )
-        })
-        .inc();
-    }
-
-    pub(super) fn retry_budget_exhausted() {
-        static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-        CELL.get_or_init(|| {
-            global().counter(
-                "rq_serve_retry_budget_exhausted_total",
-                "Retries denied because the global retry budget was spent",
-            )
-        })
-        .inc();
     }
 
     pub(super) fn exhausted() {
@@ -1808,13 +1701,19 @@ mod tests {
     }
 
     #[test]
-    fn fuel_exhaustion_returns_the_report_after_retries() {
+    fn fuel_exhaustion_is_evaluated_once() {
         let server = test_server(ServeConfig::default());
         let mut c = client(&server);
-        // X-Fuel lowers the budget below anything useful, so every attempt
-        // exhausts and the final answer carries the last report.
+        // X-Fuel lowers the budget below anything useful. The same budget
+        // would exhaust the same way again, so the engine runs once and
+        // its report is the answer.
         let r = c
-            .request("POST", "/query", &[("X-Fuel", "3")], b"(a|b)*")
+            .request(
+                "POST",
+                "/query",
+                &[("X-Fuel", "3")],
+                br#"{"query": "(a|b)*", "explain": true}"#,
+            )
             .unwrap();
         assert_eq!(r.status, 422, "{}", r.text());
         let body = Json::parse(&r.text()).unwrap();
@@ -1822,8 +1721,14 @@ mod tests {
         let ex = body.get("exhaustion").expect("exhaustion report");
         assert_eq!(ex.get("resource").and_then(Json::as_str), Some("fuel"));
         assert_eq!(ex.get("limit").and_then(Json::as_u64), Some(3));
-        let attempts = body.get("attempts").and_then(Json::as_u64).unwrap();
-        assert!(attempts >= 1, "at least the initial attempt");
+        let Some(Json::Arr(spans)) = body.get("trace").and_then(|t| t.get("spans")) else {
+            panic!("explain inlines the span tree: {}", r.text())
+        };
+        let runs = spans
+            .iter()
+            .filter(|s| s.get("name").and_then(Json::as_str) == Some("engine.run"))
+            .count();
+        assert_eq!(runs, 1, "one evaluation per request: {}", r.text());
         server.shutdown();
     }
 

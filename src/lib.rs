@@ -22,7 +22,7 @@
 //!   request-scoped spans and the workspace's JSON codec, threaded
 //!   through the other layers;
 //! * [`serve`] — a fault-tolerant multi-tenant HTTP front-end over the
-//!   engine: admission control, load-shedding, deadlines/retries,
+//!   engine: admission control, load-shedding, deadlines,
 //!   graceful drain, and deterministic fault injection (`rqtool serve`).
 //!
 //! ## Quickstart

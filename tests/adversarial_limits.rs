@@ -190,59 +190,3 @@ fn timeout_mid_subsumption_reevaluation_is_structured() {
     assert_eq!(ok.disposition, Disposition::Subsumed);
     assert_eq!(*ok.answer, small.evaluate(&eng.db()));
 }
-
-/// Sustained fuel starvation must drain the serve retry budget and then
-/// keep returning the *last* structured exhaustion report — never a
-/// generic failure, and never an unbounded retry storm.
-#[test]
-fn retry_budget_exhaustion_returns_last_exhaustion_report() {
-    use regular_queries::graph::generate;
-    use regular_queries::metrics::json::Json;
-    use regular_queries::serve::Client;
-    let db = generate::random_gnm(40, 160, &["a", "b"], 17);
-    let engine = Engine::new(
-        db,
-        EngineConfig {
-            threads: 2,
-            ..EngineConfig::default()
-        },
-    );
-    let server = Server::start(engine, ServeConfig::default()).expect("server starts");
-    let mut client =
-        Client::connect(&server.addr().to_string(), Duration::from_secs(10)).expect("connect");
-    // Default retry policy: 2 retries per request against a budget of 16
-    // retries total (and nothing refills it, since no request succeeds).
-    let mut attempts_seen = Vec::new();
-    for _ in 0..30 {
-        let resp = client
-            .request("POST", "/query", &[("X-Fuel", "2")], b"(a|b)*")
-            .expect("request");
-        assert_eq!(resp.status, 422, "{}", resp.text());
-        let body = Json::parse(&resp.text()).expect("json body");
-        assert_eq!(
-            body.get("error").and_then(Json::as_str),
-            Some("exhausted"),
-            "structured code, not a generic failure"
-        );
-        let ex = body
-            .get("exhaustion")
-            .expect("every 422 carries the report");
-        assert_eq!(ex.get("resource").and_then(Json::as_str), Some("fuel"));
-        assert_eq!(ex.get("limit").and_then(Json::as_u64), Some(2));
-        assert!(ex.get("fuel_spent").and_then(Json::as_u64).unwrap_or(0) >= 2);
-        attempts_seen.push(body.get("attempts").and_then(Json::as_u64).unwrap());
-    }
-    // Early requests exercised the full retry schedule; once the budget is
-    // spent, later requests degrade to a single attempt — with the report
-    // still attached.
-    assert_eq!(attempts_seen[0], 3, "initial attempt + 2 retries");
-    assert_eq!(
-        *attempts_seen.last().unwrap(),
-        1,
-        "budget exhausted: no retries, but still a structured report"
-    );
-    let report = server.shutdown();
-    assert!(report
-        .metrics
-        .contains("rq_serve_retry_budget_exhausted_total"));
-}

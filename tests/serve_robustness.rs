@@ -263,7 +263,7 @@ mod chaos {
             panic_ppm: 10_000, // 1% worker panics / connection drops
             delay_ppm: 10_000, // 1% injected 1ms stalls
             delay: Duration::from_millis(1),
-            starve_ppm: 10_000, // 1% fuel starvation (forces retries)
+            starve_ppm: 10_000, // 1% fuel starvation (forces 422s)
         };
         assert!(regular_queries::serve::faults::compiled());
         let server = Server::start(
@@ -412,21 +412,23 @@ mod chaos {
         let addr = server.addr().to_string();
         let mut client = Client::connect(&addr, Duration::from_secs(10)).expect("connect");
 
-        let (mut ok, mut internal) = (0usize, 0usize);
-        for _ in 0..60 {
-            // The 50% panic rate also fires at the I/O site (dropping the
-            // connection); reconnect and retry until an actual HTTP
-            // response arrives, so every slot below is a served request.
-            let resp = loop {
-                match client.request("POST", "/query", &[], b"(a|b)+") {
-                    Ok(resp) => break resp,
-                    Err(_) => {
-                        while client.reconnect().is_err() {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
+        // The 50% panic rate also fires at the I/O site (dropping the
+        // connection), on every endpoint; reconnect and retry until an
+        // actual HTTP response arrives, so every slot below is a served
+        // request.
+        let mut send = |method: &str, path: &str, body: &[u8]| loop {
+            match client.request(method, path, &[], body) {
+                Ok(resp) => break resp,
+                Err(_) => {
+                    while client.reconnect().is_err() {
+                        std::thread::sleep(Duration::from_millis(2));
                     }
                 }
-            };
+            }
+        };
+        let (mut ok, mut internal) = (0usize, 0usize);
+        for _ in 0..60 {
+            let resp = send("POST", "/query", b"(a|b)+");
             match resp.status {
                 200 => ok += 1,
                 500 => {
@@ -442,9 +444,7 @@ mod chaos {
             "injected panics are contained, internal={internal}"
         );
 
-        let health = client
-            .request("GET", "/healthz", &[], b"")
-            .expect("healthz");
+        let health = send("GET", "/healthz", b"");
         assert_eq!(health.status, 200);
         let body = Json::parse(&health.text()).expect("json");
         assert_eq!(

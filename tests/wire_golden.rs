@@ -9,7 +9,7 @@ use regular_queries::graph::generate;
 use regular_queries::metrics::span::{FinishedTrace, SpanRecord};
 use regular_queries::prelude::*;
 use regular_queries::serve::http::ClientResponse;
-use regular_queries::serve::{Client, RetryPolicy};
+use regular_queries::serve::Client;
 use std::process::Command;
 use std::time::Duration;
 
@@ -43,13 +43,8 @@ fn golden_server() -> Server {
             ..EngineConfig::default()
         },
     );
-    let retry = RetryPolicy {
-        max_retries: 0,
-        ..RetryPolicy::default()
-    };
     let config = ServeConfig {
         workers: 1,
-        retry,
         ..ServeConfig::default()
     };
     Server::start(engine, config).expect("server starts")
@@ -69,7 +64,7 @@ fn query_bodies_are_byte_exact() {
         mask(&ok),
         concat!(
             r#"{"id":1,"ok":true,"disposition":"miss","pairs":6,"#,
-            r#""sample":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]],"truncated":false,"attempts":1,"degraded":false,"#,
+            r#""sample":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]],"truncated":false,"degraded":false,"#,
             r#""elapsed_us":_,"trace_id":"_"}"#,
         )
     );
@@ -83,7 +78,7 @@ fn query_bodies_are_byte_exact() {
         concat!(
             r#"{"id":2,"ok":false,"error":"exhausted","message":"error[exhausted]: evaluation budget exhausted","#,
             r#""exhaustion":{"resource":"fuel","spent":4,"limit":3,"fuel_spent":4,"#,
-            r#""states_constructed":0,"tuples_derived":0,"elapsed_ms":_},"attempts":1,"trace_id":"_"}"#,
+            r#""states_constructed":0,"tuples_derived":0,"elapsed_ms":_},"trace_id":"_"}"#,
         )
     );
 
@@ -102,7 +97,7 @@ fn query_bodies_are_byte_exact() {
         concat!(
             r#"{"id":3,"ok":true,"disposition":"exact","pairs":6,"#,
             r#""sample":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]],"truncated":false,"#,
-            r#""attempts":1,"degraded":false,"elapsed_us":_,"trace_id":"_","#,
+            r#""degraded":false,"elapsed_us":_,"trace_id":"_","#,
             r#""trace":{"trace_id":"_","started_at_unix_us":_,"duration_us":_,"#,
             r#""outcome":"ok","detail":"a+","dropped_spans":0,"spans":["#,
             r#"{"id":1,"name":"serve.execute","start_us":_,"duration_us":_,"fields":{"status":"200"}},"#,
