@@ -283,9 +283,8 @@ impl Governor {
     /// Additionally observe a **read-only** cancellation flag. Unlike the
     /// flag passed to [`Governor::with_cancel`], this one is never written
     /// by the governor: [`Governor::cancel`] (the peer-cancel path inside
-    /// parallel evaluators) does not touch it, so the flag's owner can
-    /// reuse it across retries without an internal exhaustion in one
-    /// attempt poisoning the next.
+    /// parallel evaluators) does not touch it, so an internal exhaustion
+    /// never shows up as a cancellation on the owner's flag.
     pub fn watching(mut self, flag: Arc<AtomicBool>) -> Self {
         self.watched = Some(flag);
         self
@@ -559,7 +558,7 @@ mod tests {
         let g = Governor::unlimited().watching(Arc::clone(&external));
         assert!(g.check_wall().is_ok());
         // The internal peer-cancel path must not leak into the watched
-        // flag: its owner may reuse it across retry attempts.
+        // flag: it belongs to its owner alone.
         g.cancel();
         assert!(!external.load(Ordering::Relaxed));
         assert_eq!(g.check_wall().unwrap_err().resource, Resource::Cancelled);

@@ -776,12 +776,12 @@ fn e14() -> Gate {
     println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
     let stream = e14_stream();
     // Offered load scales with the closed-loop client count: 2 clients
-    // saturate the 2 serve workers (1×); 8 and 32 clients offer 4× and
+    // saturate the 2 execution slots (1×); 8 and 32 clients offer 4× and
     // 16×. The tenant quota is made non-binding (the fuel bucket refills
-    // far faster than the workers can drain it) so the bounded queue is
-    // the only shedding axis under test; the control row replaces the
-    // bounded queue with one deep enough to never shed, which is what an
-    // unprotected server does — it queues.
+    // far faster than the slots can drain it) so the bounded waiting line
+    // is the only shedding axis under test; the control row replaces it
+    // with one deep enough to never shed, which is what an unprotected
+    // server does — it queues.
     for (label, clients, queue_capacity) in [
         ("1× baseline", 2usize, 2usize),
         ("4×", 8, 2),

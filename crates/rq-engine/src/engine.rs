@@ -594,10 +594,10 @@ impl Engine {
     /// scheduling.
     ///
     /// When `cancel` is given, every stripe *watches* it read-only —
-    /// setting it from another thread (a request timeout, a server drain)
-    /// stops the evaluation, but the internal first-failure peer-cancel
-    /// path runs on its own flag, so an exhausted attempt never flips the
-    /// caller's flag and a retry with the same flag starts clean.
+    /// setting it from another thread (a server drain) stops the
+    /// evaluation, but the internal first-failure peer-cancel path runs
+    /// on its own flag, so an exhausted evaluation never flips the
+    /// caller's flag, and the error names the budget that really tripped.
     ///
     /// A panicking stripe is re-raised here once every stripe has
     /// reported (see [`run_stripes`]), so a partial answer is never
@@ -1071,16 +1071,15 @@ mod tests {
         let cancel = Arc::new(AtomicBool::new(false));
         // A fuel-starved run exhausts inside a stripe, which cancels its
         // peers — over an *internal* flag. The caller's flag must come
-        // back untouched, and the error must name the real budget, so
-        // the caller can retry with the same flag without the previous
-        // attempt's peer-cancel masquerading as an external cancellation.
+        // back untouched, and the error must name the budget that really
+        // tripped rather than the peer-cancel.
         let starved = Limits::unlimited().with_fuel(50);
         match eng.run_with(&q, &starved, Some(Arc::clone(&cancel))) {
             Err(EngineError::Exhausted(e)) => assert_eq!(e.resource, Resource::Fuel),
             other => panic!("expected fuel exhaustion, got {other:?}"),
         }
         assert!(!cancel.load(Ordering::SeqCst), "caller's flag was flipped");
-        // The retry (same flag, real budget) now succeeds.
+        // The untouched flag does not stop a later run with a real budget.
         assert!(eng.run_with(&q, &Limits::unlimited(), Some(cancel)).is_ok());
     }
 

@@ -26,20 +26,21 @@ impl Default for TenantQuota {
     }
 }
 
-/// Front-end construction knobs. Everything is bounded: the submission
-/// queue, the connection count, the per-request deadline, and the drain
-/// deadline all have explicit limits, so overload turns into shedding
-/// rather than unbounded buffering.
+/// Front-end construction knobs. Everything is bounded: concurrent
+/// executions and the line waiting for them, the connection count, the
+/// per-request deadline, and the drain deadline all have explicit
+/// limits, so overload turns into shedding rather than unbounded
+/// buffering.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7878` (`:0` picks a free port).
     pub addr: String,
-    /// Worker threads executing admitted jobs (each evaluation then fans
-    /// out across the engine's own pool).
+    /// Admitted jobs executing at once, each on the thread that admitted
+    /// it (each evaluation then fans out across the engine's own pool).
     pub workers: usize,
-    /// Bounded submission queue: jobs admitted but not yet picked up by a
-    /// worker. Must be ≥ 1 — a zero-capacity queue is a configuration
-    /// error, not a panic.
+    /// Admitted jobs that may wait, in admission order, for one of the
+    /// `workers` execution slots; one more is shed. Must be ≥ 1 — a
+    /// zero-capacity line is a configuration error, not a panic.
     pub queue_capacity: usize,
     /// Maximum concurrently served connections; excess connections are
     /// answered `503` and closed immediately.
@@ -102,9 +103,9 @@ impl std::error::Error for ConfigError {}
 
 impl ServeConfig {
     /// Validate every bound, returning the first structured error. A
-    /// zero-sized queue, zero workers, or a zero drain deadline would all
-    /// previously have panicked (or hung) somewhere deep in the stack;
-    /// they are rejected here by name instead.
+    /// zero-sized waiting line, zero workers, or a zero drain deadline
+    /// would all previously have panicked (or hung) somewhere deep in the
+    /// stack; they are rejected here by name instead.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let fail = |message: String| Err(ConfigError { message });
         if self.workers == 0 {

@@ -8,8 +8,8 @@
 //! erases, so production builds carry zero chaos overhead.
 //!
 //! Sites map to the failure domains the server hardens:
-//! * [`FaultSite::Pool`] — worker job bodies (panic / delay / fuel
-//!   starvation, so the exhaustion path fires);
+//! * [`FaultSite::Pool`] — the execution of one admitted job (panic /
+//!   delay / fuel starvation, so the exhaustion path fires);
 //! * [`FaultSite::Io`] — connection handling (delays and dropped
 //!   connections).
 
@@ -18,7 +18,7 @@ use std::time::Duration;
 /// Where a fault may be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// Inside a serve worker, around one admitted job.
+    /// Inside the execution of one admitted job.
     Pool,
     /// Around connection I/O.
     Io,

@@ -1,11 +1,12 @@
 //! The front-end proper: admission, execution, recovery, and drain.
 //!
 //! One accept loop feeds per-connection handler threads; handlers admit
-//! requests (tenant bucket, then bounded queue) and park on a
-//! [`JobCell`]; serve workers pop jobs and execute them against the
-//! engine once under `catch_unwind` and per-request budgets. Every
-//! admitted job is answered exactly once — by its worker, or by the drain
-//! sweep that empties the queue at the deadline. The failure ladder is:
+//! requests (tenant bucket, then the bounded [`Gate`]) and run each
+//! admitted job themselves once the gate grants it a slot: one evaluation
+//! against the engine under `catch_unwind` and per-request budgets.
+//! Every admitted job is answered exactly once — by its own run, or, when
+//! the drain deadline sweeps it while it still waits, with
+//! `error[draining]`. The failure ladder is:
 //! shed at admission (429/503) → deadline or drain (408/503) → exhaustion
 //! report of the one evaluation (422) → contained panic (500) — the
 //! process itself never goes down with a request.
@@ -13,8 +14,8 @@
 use crate::bucket::{Admission, TenantBuckets};
 use crate::config::{ConfigError, ServeConfig};
 use crate::faults::{Fault, FaultSite};
+use crate::gate::{Gate, Refusal, Ticket};
 use crate::http::{read_request, write_response, HttpError, Request};
-use crate::queue::{BoundedQueue, PushError};
 use rq_automata::governor::{EngineError, Exhaustion, Limits, Resource};
 use rq_engine::Engine;
 use rq_graph::Delta;
@@ -27,75 +28,20 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Upper bound on admitted-but-unpolled async jobs.
 const MAX_ASYNC_JOBS: usize = 1024;
-/// Extra wait past a request's deadline before the handler gives up on
-/// its worker (it should answer within one governor poll of the
-/// cancellation flag).
-const STUCK_GRACE: Duration = Duration::from_secs(60);
-
-/// A one-shot mailbox the handler parks on and the worker (or the drain
-/// sweep) fulfills exactly once.
-struct JobCell {
-    slot: Mutex<Option<(u16, String)>>,
-    ready: Condvar,
-}
-
-impl JobCell {
-    fn new() -> Arc<JobCell> {
-        Arc::new(JobCell {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Deliver the response. First writer wins; a late worker result after
-    /// a drain sweep already answered is dropped silently.
-    fn fulfill(&self, status: u16, body: String) {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        if slot.is_none() {
-            *slot = Some((status, body));
-            self.ready.notify_all();
-        }
-    }
-
-    /// Block until fulfilled or `deadline` passes.
-    fn wait_until(&self, deadline: Instant) -> Option<(u16, String)> {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(resp) = slot.clone() {
-                return Some(resp);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            slot = guard;
-        }
-    }
-
-    /// Non-blocking peek (the `/poll` path).
-    fn peek(&self) -> Option<(u16, String)> {
-        self.slot.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-}
-
-/// One admitted request travelling from handler to worker.
+/// One admitted request, holding its place in the gate's line.
 struct Job {
     id: u64,
     text: String,
     fuel: u64,
     deadline: Instant,
     cancel: Arc<AtomicBool>,
-    cell: Arc<JobCell>,
+    ticket: Ticket,
     /// The request's trace context — every job has one (its id is echoed
     /// in the response) even when head sampling skips span capture.
     trace: Arc<TraceContext>,
@@ -110,12 +56,12 @@ struct Job {
 /// What a finished drain observed.
 #[derive(Debug)]
 pub struct DrainReport {
-    /// Jobs still queued at the drain deadline, answered `error[draining]`.
+    /// Jobs still waiting at the drain deadline, answered `error[draining]`.
     pub swept: usize,
     /// Jobs in flight at the drain deadline whose cancellation flag was
     /// raised.
     pub cancelled: usize,
-    /// Whether the backlog fully drained before the deadline.
+    /// Whether every admitted job finished before the deadline.
     pub clean: bool,
     /// Wall-clock time the drain took.
     pub elapsed: Duration,
@@ -134,12 +80,13 @@ struct Inner {
     store: Option<Mutex<StorageHandle>>,
     /// Bounded flight recorder backing `/tracez`, `/slowz`, and `explain`.
     recorder: Recorder,
-    queue: BoundedQueue<Job>,
+    gate: Gate,
     buckets: TenantBuckets,
     /// Cancellation flags of jobs currently executing, by job id.
     inflight: Mutex<HashMap<u64, Arc<AtomicBool>>>,
-    /// Async (`/submit`) jobs awaiting `/poll`, by job id.
-    async_jobs: Mutex<HashMap<u64, Arc<JobCell>>>,
+    /// Async (`/submit`) jobs awaiting `/poll`, by job id: `None` until
+    /// the job's response is ready.
+    async_jobs: Mutex<HashMap<u64, Option<(u16, String)>>>,
     next_id: AtomicU64,
     /// Monotone fault-decision sequence (shared across sites).
     fault_seq: AtomicU64,
@@ -155,12 +102,10 @@ pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Validate `cfg`, bind the listener, and start the accept loop plus
-    /// `cfg.workers` serve workers.
+    /// Validate `cfg`, bind the listener, and start the accept loop.
     pub fn start(engine: Engine, cfg: ServeConfig) -> Result<Server, ConfigError> {
         Server::start_with_store(engine, cfg, None)
     }
@@ -190,7 +135,7 @@ impl Server {
         })?;
         let inner = Arc::new(Inner {
             recorder: Recorder::new(cfg.tracing.clone()),
-            queue: BoundedQueue::new(cfg.queue_capacity),
+            gate: Gate::new(cfg.workers, cfg.queue_capacity),
             buckets: TenantBuckets::new(cfg.quota.clone()),
             inflight: Mutex::new(HashMap::new()),
             async_jobs: Mutex::new(HashMap::new()),
@@ -204,15 +149,6 @@ impl Server {
             store: store.map(Mutex::new),
             cfg,
         });
-        let workers = (0..inner.cfg.workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("rq-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("spawn serve worker")
-            })
-            .collect();
         let accept = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
@@ -224,7 +160,6 @@ impl Server {
             inner,
             addr,
             accept: Some(accept),
-            workers,
         })
     }
 
@@ -248,9 +183,9 @@ impl Server {
         self.inner.draining.load(Ordering::SeqCst)
     }
 
-    /// Gracefully drain: stop admitting, let workers finish the backlog,
-    /// and at `drain_deadline` cancel in-flight evaluations and answer
-    /// everything still queued with `error[draining]`. Idempotent; blocks
+    /// Gracefully drain: stop admitting, let admitted jobs finish, and at
+    /// `drain_deadline` answer every job still waiting with
+    /// `error[draining]` and cancel in-flight evaluations. Idempotent; blocks
     /// until the drain completes and returns what it observed.
     pub fn drain(&self) -> DrainReport {
         drain(&self.inner)
@@ -260,9 +195,6 @@ impl Server {
     pub fn shutdown(mut self) -> DrainReport {
         let report = self.drain();
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
             let _ = h.join();
         }
         // Handler threads are detached; give them one idle-timeout tick to
@@ -293,23 +225,19 @@ fn drain(inner: &Arc<Inner>) -> DrainReport {
         };
     }
     metrics::draining(true);
-    inner.queue.stop_admitting();
-    // Phase 1: let the backlog and in-flight work finish on their own.
+    inner.gate.drain();
+    // Phase 1: let waiting and in-flight jobs finish on their own.
     let deadline = start + inner.cfg.drain_deadline;
-    while Instant::now() < deadline {
-        let idle = inner.queue.depth() == 0
-            && inner
-                .inflight
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_empty();
-        if idle {
-            break;
-        }
+    while Instant::now() < deadline && !inner.gate.is_idle() {
         std::thread::sleep(Duration::from_millis(5));
     }
-    // Phase 2 (deadline): cancel whatever is still running and answer
-    // whatever is still queued. Nothing is abandoned.
+    // Phase 2 (deadline): release whatever still waits (each such job
+    // answers its own `error[draining]`) and cancel whatever still runs.
+    // Nothing is abandoned.
+    let swept = inner.gate.sweep();
+    for _ in 0..swept {
+        metrics::shed("draining");
+    }
     let cancelled = {
         let inflight = inner.inflight.lock().unwrap_or_else(|e| e.into_inner());
         for flag in inflight.values() {
@@ -317,41 +245,11 @@ fn drain(inner: &Arc<Inner>) -> DrainReport {
         }
         inflight.len()
     };
-    let swept_jobs = inner.queue.take_all();
-    let swept = swept_jobs.len();
-    for job in swept_jobs {
-        metrics::shed("draining");
-        let finished = inner
-            .recorder
-            .record(job.trace.finish("error[draining]", &job.text));
-        job.cell.fulfill(
-            503,
-            stamp_trace(
-                error_body(
-                    job.id,
-                    "draining",
-                    "server drained before this job ran",
-                    vec![],
-                ),
-                &finished,
-                false,
-            ),
-        );
-    }
-    // Wait (briefly) for cancelled workers to report in, then stop.
+    // Wait (briefly) for cancelled jobs to report in, then stop.
     let grace = Instant::now() + Duration::from_secs(2);
-    while Instant::now() < grace {
-        if inner
-            .inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_empty()
-        {
-            break;
-        }
+    while Instant::now() < grace && !inner.gate.is_idle() {
         std::thread::sleep(Duration::from_millis(5));
     }
-    inner.queue.close();
     inner.stopped.store(true, Ordering::SeqCst);
     metrics::queue_depth(0);
     DrainReport {
@@ -572,18 +470,13 @@ fn parse_query_body(text: &str) -> (String, bool) {
     (text.to_string(), false)
 }
 
-/// Admit one query body: tenant bucket, then bounded queue. On success the
-/// job is enqueued and its id, cell, trace id and timeout returned; on
+/// Admit one query body: tenant bucket, then the gate. On success the job
+/// holds its place in the gate's line and is returned for [`serve`]; on
 /// shed, the structured refusal. Every admitted job gets a trace context
 /// — fresh, or adopted from a well-formed `X-RQ-Trace-Id` header — whose
 /// id the response echoes; span capture is head-sampled (forced on by
 /// `explain`).
-fn admit(
-    inner: &Arc<Inner>,
-    req: &Request,
-    text: &str,
-    explain: bool,
-) -> Result<(u64, Arc<JobCell>, String, Duration), Resp> {
+fn admit(inner: &Arc<Inner>, req: &Request, text: &str, explain: bool) -> Result<Job, Resp> {
     let (tenant, fuel, timeout) = request_knobs(inner, req);
     if text.trim().is_empty() {
         return Err(Resp::json(
@@ -615,35 +508,15 @@ fn admit(
         }
     }
     let id = inner.next_id.fetch_add(1, Ordering::SeqCst);
-    let cell = JobCell::new();
-    let trace = match req.header("x-rq-trace-id").and_then(span::parse_trace_id) {
-        Some(tid) => TraceContext::with_id(tid),
-        None => TraceContext::start(),
-    };
-    let trace_hex = trace.id_hex();
-    let job = Job {
-        id,
-        text: text.to_string(),
-        fuel,
-        deadline: Instant::now() + timeout,
-        cancel: Arc::new(AtomicBool::new(false)),
-        cell: Arc::clone(&cell),
-        sampled: explain || inner.recorder.sample(),
-        explain,
-        trace,
-    };
-    match inner.queue.push(job) {
-        Ok(depth) => {
-            metrics::queue_depth(depth);
-            Ok((id, cell, trace_hex, timeout))
-        }
-        Err(PushError::Full { depth, .. }) => {
+    let ticket = match inner.gate.enter() {
+        Ok(ticket) => ticket,
+        Err(Refusal::Full { depth }) => {
             metrics::shed("queue");
             // Retry-After derived from the backlog: the time this many
-            // queued jobs need at worst-case service time per worker.
+            // waiting jobs need at worst-case service time per slot.
             let per_job = inner.cfg.request_timeout.as_secs_f64();
             let secs = (depth as f64 * per_job / inner.cfg.workers.max(1) as f64).clamp(1.0, 30.0);
-            Err(Resp::json(
+            return Err(Resp::json(
                 429,
                 error_body(
                     id,
@@ -652,16 +525,32 @@ fn admit(
                     vec![("queue_depth", num(depth as u64))],
                 ),
             )
-            .with_retry_after(Duration::from_secs_f64(secs)))
+            .with_retry_after(Duration::from_secs_f64(secs)));
         }
-        Err(PushError::Draining(_)) => {
+        Err(Refusal::Draining) => {
             metrics::shed("draining");
-            Err(Resp::json(
+            return Err(Resp::json(
                 503,
                 error_body(id, "draining", "server is draining", vec![]),
-            ))
+            ));
         }
-    }
+    };
+    metrics::queue_depth(inner.gate.depth());
+    let trace = match req.header("x-rq-trace-id").and_then(span::parse_trace_id) {
+        Some(tid) => TraceContext::with_id(tid),
+        None => TraceContext::start(),
+    };
+    Ok(Job {
+        id,
+        text: text.to_string(),
+        fuel,
+        deadline: Instant::now() + timeout,
+        cancel: Arc::new(AtomicBool::new(false)),
+        ticket,
+        sampled: explain || inner.recorder.sample(),
+        explain,
+        trace,
+    })
 }
 
 fn query_sync(inner: &Arc<Inner>, req: &Request) -> Resp {
@@ -670,22 +559,13 @@ fn query_sync(inner: &Arc<Inner>, req: &Request) -> Resp {
         Err(e) => return Resp::json(400, error_body(0, "invalid", &e.to_string(), vec![])),
     };
     let (query, explain) = parse_query_body(&text);
-    let (id, cell, trace_hex, timeout) = match admit(inner, req, &query, explain) {
-        Ok(ok) => ok,
+    let job = match admit(inner, req, &query, explain) {
+        Ok(job) => job,
         Err(resp) => return resp,
     };
-    // The worker enforces the deadline via its governor; the handler just
-    // waits it out, plus a stuck-grace that only trips if a worker failed
-    // to answer at all (which `catch_unwind` + the drain sweep prevent).
-    let deadline = Instant::now() + timeout + STUCK_GRACE;
-    let mut resp = match cell.wait_until(deadline) {
-        Some((status, body)) => Resp::json(status, body),
-        None => Resp::json(
-            500,
-            error_body(id, "internal", "worker never answered", vec![]),
-        ),
-    };
-    resp.headers.push(("X-RQ-Trace-Id", trace_hex));
+    let (status, body) = serve(inner, &job);
+    let mut resp = Resp::json(status, body);
+    resp.headers.push(("X-RQ-Trace-Id", job.trace.id_hex()));
     resp
 }
 
@@ -707,12 +587,26 @@ fn submit_async(inner: &Arc<Inner>, req: &Request) -> Resp {
     }
     let (query, explain) = parse_query_body(&text);
     match admit(inner, req, &query, explain) {
-        Ok((id, cell, _, _)) => {
+        Ok(job) => {
+            let id = job.id;
             inner
                 .async_jobs
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .insert(id, cell);
+                .insert(id, None);
+            // The job runs on a thread of its own; the gate bounds how many
+            // such threads exist. Shared, so that if no thread can be
+            // spawned this handler serves it rather than strand its ticket.
+            let job = Arc::new(job);
+            let spawned = {
+                let (inner, job) = (Arc::clone(inner), Arc::clone(&job));
+                std::thread::Builder::new()
+                    .name("rq-serve-submit".to_string())
+                    .spawn(move || serve_async(&inner, &job))
+            };
+            if spawned.is_err() {
+                serve_async(inner, &job);
+            }
             Resp::json(
                 202,
                 Json::Obj(vec![
@@ -723,6 +617,19 @@ fn submit_async(inner: &Arc<Inner>, req: &Request) -> Resp {
             )
         }
         Err(resp) => resp,
+    }
+}
+
+/// Serve a `/submit` job and leave its response for `/poll`.
+fn serve_async(inner: &Arc<Inner>, job: &Job) {
+    let resp = serve(inner, job);
+    if let Some(slot) = inner
+        .async_jobs
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .get_mut(&job.id)
+    {
+        *slot = Some(resp);
     }
 }
 
@@ -737,24 +644,22 @@ fn poll(inner: &Arc<Inner>, req: &Request) -> Resp {
         }
     };
     let mut jobs = inner.async_jobs.lock().unwrap_or_else(|e| e.into_inner());
-    match jobs.get(&id) {
+    match jobs.remove(&id) {
         None => Resp::json(404, error_body(id, "invalid", "unknown job id", vec![])),
-        Some(cell) => match cell.peek() {
-            // Delivery is one-shot: the entry is dropped once the result
-            // has been handed out, so the async table cannot leak.
-            Some((status, body)) => {
-                jobs.remove(&id);
-                Resp::json(status, body)
-            }
-            None => Resp::json(
+        // Delivery is one-shot: the entry is dropped once the result has
+        // been handed out, so the async table cannot leak.
+        Some(Some((status, body))) => Resp::json(status, body),
+        Some(None) => {
+            jobs.insert(id, None);
+            Resp::json(
                 202,
                 Json::Obj(vec![
                     ("id".to_string(), num(id)),
                     ("done".to_string(), Json::Bool(false)),
                 ])
                 .emit(),
-            ),
-        },
+            )
+        }
     }
 }
 
@@ -770,12 +675,7 @@ fn stream(inner: &Arc<Inner>, req: &Request) -> Resp {
     let mut lines = Vec::new();
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         let line_resp = match admit(inner, req, line, false) {
-            Ok((id, cell, _, timeout)) => {
-                match cell.wait_until(Instant::now() + timeout + STUCK_GRACE) {
-                    Some((_, body)) => body,
-                    None => error_body(id, "internal", "worker never answered", vec![]),
-                }
-            }
+            Ok(job) => serve(inner, &job).1,
             Err(resp) => resp.body,
         };
         lines.push(line_resp);
@@ -938,7 +838,7 @@ fn healthz(inner: &Arc<Inner>) -> Resp {
                 "degraded".to_string(),
                 Json::Bool(inner.engine.is_degraded()),
             ),
-            ("queue_depth".to_string(), num(inner.queue.depth() as u64)),
+            ("queue_depth".to_string(), num(inner.gate.depth() as u64)),
             ("tenants".to_string(), num(inner.buckets.tenants() as u64)),
             (
                 "uptime_ms".to_string(),
@@ -970,56 +870,68 @@ fn drainz(inner: &Arc<Inner>) -> Resp {
 }
 
 // ---------------------------------------------------------------------------
-// Workers
+// Execution
 // ---------------------------------------------------------------------------
 
-fn worker_loop(inner: &Arc<Inner>) {
-    while let Some(job) = inner.queue.pop() {
-        metrics::queue_depth(inner.queue.depth());
-        inner
-            .inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(job.id, Arc::clone(&job.cancel));
-        metrics::inflight(1);
-        // The trace context is installed for the whole execution (when
-        // sampled), so every engine/core/frontier span lands in this
-        // request's tree under one `serve.execute` root. A panic unwinds
-        // the guard and the root span like any other drop.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = job.sampled.then(|| span::install(&job.trace, 0));
-            let mut root = span::start("serve.execute");
-            let (status, body) = execute(inner, &job);
-            root.record("status", status);
-            (status, body)
-        }));
-        let (status, body) = outcome.unwrap_or_else(|_| {
-            metrics::job_panic();
-            (
-                500,
-                error_body(
-                    job.id,
-                    "internal",
-                    "request evaluation panicked (contained; other requests unaffected)",
-                    vec![],
-                ),
-            )
-        });
-        inner
-            .inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&job.id);
-        metrics::inflight(-1);
-        // Close out the trace (slow/errored tails survive in the
-        // recorder regardless of sampling) and stamp the response body
-        // with the trace id — plus the profile when `explain` asked.
+/// Run one admitted job on the calling thread once the gate grants it a
+/// slot, and answer it. A job swept at the drain deadline answers
+/// `error[draining]` unrun; a panicking one answers `error[internal]`.
+fn serve(inner: &Arc<Inner>, job: &Job) -> (u16, String) {
+    let Some(_slot) = inner.gate.wait(&job.ticket) else {
         let finished = inner
             .recorder
-            .record(job.trace.finish(outcome_name(status), &job.text));
-        job.cell
-            .fulfill(status, stamp_trace(body, &finished, job.explain));
-    }
+            .record(job.trace.finish("error[draining]", &job.text));
+        let body = error_body(
+            job.id,
+            "draining",
+            "server drained before this job ran",
+            vec![],
+        );
+        return (503, stamp_trace(body, &finished, false));
+    };
+    metrics::queue_depth(inner.gate.depth());
+    inner
+        .inflight
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .insert(job.id, Arc::clone(&job.cancel));
+    metrics::inflight(1);
+    // The trace context is installed for the whole execution (when
+    // sampled), so every engine/core/frontier span lands in this
+    // request's tree under one `serve.execute` root. A panic unwinds the
+    // guard and the root span like any other drop.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let _guard = job.sampled.then(|| span::install(&job.trace, 0));
+        let mut root = span::start("serve.execute");
+        let (status, body) = execute(inner, job);
+        root.record("status", status);
+        (status, body)
+    }));
+    let (status, body) = outcome.unwrap_or_else(|_| {
+        metrics::job_panic();
+        (
+            500,
+            error_body(
+                job.id,
+                "internal",
+                "request evaluation panicked (contained; other requests unaffected)",
+                vec![],
+            ),
+        )
+    });
+    inner
+        .inflight
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .remove(&job.id);
+    metrics::inflight(-1);
+    // Close out the trace (slow/errored tails survive in the recorder
+    // regardless of sampling) and stamp the response body with the trace
+    // id — plus the profile when `explain` asked.
+    let finished = inner
+        .recorder
+        .record(job.trace.finish(outcome_name(status), &job.text));
+    (status, stamp_trace(body, &finished, job.explain))
 }
 
 /// Trace-level outcome label for a response status.
@@ -1070,22 +982,15 @@ fn decide_fault(inner: &Inner, site: FaultSite) -> Option<Fault> {
 
 /// Execute one admitted job: parse, then evaluate once under the
 /// per-request budget. Every exit path returns a structured body; panics
-/// (real or injected) escape to the worker's `catch_unwind`.
+/// (real or injected) escape to [`serve`]'s `catch_unwind`.
 fn execute(inner: &Arc<Inner>, job: &Job) -> (u16, String) {
     let started = Instant::now();
+    // Only the drain raises a job's cancellation flag.
     if job.cancel.load(Ordering::SeqCst) {
-        return if inner.draining.load(Ordering::SeqCst) {
-            (
-                503,
-                error_body(job.id, "draining", "cancelled before execution", vec![]),
-            )
-        } else {
-            metrics::deadline_timeout();
-            (
-                408,
-                error_body(job.id, "deadline", "cancelled before execution", vec![]),
-            )
-        };
+        return (
+            503,
+            error_body(job.id, "draining", "cancelled before execution", vec![]),
+        );
     }
     if Instant::now() >= job.deadline {
         metrics::deadline_timeout();
@@ -1121,24 +1026,10 @@ fn execute(inner: &Arc<Inner>, job: &Job) -> (u16, String) {
         Err(EngineError::Exhausted(e)) => e,
     };
     match e.resource {
-        // The flag is shared: a drain and a handler timeout both land
-        // here; report whichever caused it.
-        Resource::Cancelled if inner.draining.load(Ordering::SeqCst) => (
+        Resource::Cancelled => (
             503,
             error_body_with_exhaustion(job.id, "draining", "evaluation cancelled by drain", &e),
         ),
-        Resource::Cancelled => {
-            metrics::deadline_timeout();
-            (
-                408,
-                error_body_with_exhaustion(
-                    job.id,
-                    "deadline",
-                    "evaluation cancelled at the deadline",
-                    &e,
-                ),
-            )
-        }
         Resource::Deadline => {
             metrics::deadline_timeout();
             (
@@ -1326,7 +1217,7 @@ mod metrics {
         CELL.get_or_init(|| {
             global().gauge(
                 "rq_serve_queue_depth",
-                "Jobs admitted but not yet picked up by a serve worker",
+                "Admitted jobs waiting for an execution slot",
             )
         })
         .set(depth as u64);
@@ -1339,7 +1230,7 @@ mod metrics {
         CELL.get_or_init(|| {
             global().gauge(
                 "rq_serve_inflight_jobs",
-                "Jobs currently executing on serve workers",
+                "Admitted jobs currently executing",
             )
         })
         .set(now.max(0) as u64);
@@ -1827,8 +1718,9 @@ mod tests {
 
     #[test]
     fn overload_sheds_with_queue_derived_retry_after() {
-        // One worker, a one-slot queue, and slow queries: concurrent
-        // submissions must shed rather than buffer without bound.
+        // One execution slot, one waiting place, and slow queries:
+        // concurrent submissions must shed rather than buffer without
+        // bound.
         let server = test_server(ServeConfig {
             workers: 1,
             queue_capacity: 1,

@@ -27,11 +27,20 @@ fn engine_on(nodes: usize, edges_per_label: usize, seed: u64) -> Engine {
 /// is silently dropped and the connection still gets its full response.
 #[test]
 fn drain_racing_a_stream_batch_answers_every_line() {
+    // Fuel far above any line's work, so a line ends only by completing,
+    // by its deadline or by the drain, however fast the BFS runs; the
+    // quota covers every line's up-front debit.
+    let fuel = 1_000_000_000;
     let server = Server::start(
         engine_on(1000, 4000, 29),
         ServeConfig {
             workers: 2,
             drain_deadline: Duration::from_secs(2),
+            request_fuel: fuel,
+            quota: TenantQuota {
+                fuel_per_sec: 1000 * fuel,
+                burst_fuel: 1000 * fuel,
+            },
             ..ServeConfig::default()
         },
     )
@@ -84,6 +93,89 @@ fn drain_racing_a_stream_batch_answers_every_line() {
     assert_eq!(ok + shed, 40);
     assert!(ok >= 1, "lines admitted before the drain complete normally");
     assert!(shed >= 1, "lines after the drain are shed, not dropped");
+    server.shutdown();
+}
+
+/// A job still waiting for an execution slot at the drain deadline is
+/// swept: it answers `503 error[draining]` without running, while the job
+/// holding the only slot has its evaluation cancelled.
+#[test]
+fn drain_deadline_sweeps_a_waiting_job() {
+    // Fuel and quota far above the work, so only the drain ends it.
+    let fuel = 1_000_000_000;
+    let server = Server::start(
+        engine_on(2500, 10_000, 31),
+        ServeConfig {
+            workers: 1,
+            queue_capacity: 1,
+            drain_deadline: Duration::from_millis(100),
+            request_timeout: Duration::from_secs(30),
+            request_fuel: fuel,
+            quota: TenantQuota {
+                fuel_per_sec: 1000 * fuel,
+                burst_fuel: 1000 * fuel,
+            },
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server starts");
+    let addr = server.addr().to_string();
+    // Two long queries: whichever takes the slot holds it past the drain
+    // deadline, and the other waits for it.
+    let clients: Vec<_> = ["(a|b)+", "(b|a)+ a"]
+        .into_iter()
+        .map(|query| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&addr, Duration::from_secs(60)).expect("connect");
+                client
+                    .request("POST", "/query", &[], query.as_bytes())
+                    .expect("every admitted job is answered")
+            })
+        })
+        .collect();
+    let mut health = Client::connect(&addr, Duration::from_secs(10)).expect("connect");
+    let waited = Instant::now();
+    loop {
+        let resp = health
+            .request("GET", "/healthz", &[], b"")
+            .expect("healthz");
+        let body = Json::parse(&resp.text()).expect("json body");
+        if body.get("queue_depth").and_then(Json::as_u64) == Some(1) {
+            break;
+        }
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "the second job never had to wait"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let report = server.drain();
+    assert_eq!(report.swept, 1, "{report:?}");
+    assert_eq!(report.cancelled, 1, "{report:?}");
+    assert!(!report.clean, "{report:?}");
+    let mut messages: Vec<String> = clients
+        .into_iter()
+        .map(|c| {
+            let resp = c.join().expect("client thread");
+            assert_eq!(resp.status, 503, "{}", resp.text());
+            let body = Json::parse(&resp.text()).expect("json body");
+            assert_eq!(body.get("error").and_then(Json::as_str), Some("draining"));
+            body.get("message")
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string()
+        })
+        .collect();
+    messages.sort();
+    assert_eq!(
+        messages,
+        [
+            "error[draining]: evaluation cancelled by drain",
+            "error[draining]: server drained before this job ran",
+        ]
+    );
     server.shutdown();
 }
 
@@ -224,7 +316,7 @@ mod chaos {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    /// Injected worker panics are expected here by the hundreds; silence
+    /// Injected job panics are expected here by the hundreds; silence
     /// their default-hook backtraces while forwarding everything else
     /// (a real test failure must still print).
     fn quiet_injected_panics() {
@@ -260,7 +352,7 @@ mod chaos {
         quiet_injected_panics();
         let plan = FaultPlan {
             seed: 0xC0FFEE,
-            panic_ppm: 10_000, // 1% worker panics / connection drops
+            panic_ppm: 10_000, // 1% job panics / connection drops
             delay_ppm: 10_000, // 1% injected 1ms stalls
             delay: Duration::from_millis(1),
             starve_ppm: 10_000, // 1% fuel starvation (forces 422s)
@@ -382,10 +474,10 @@ mod chaos {
         assert!(report.metrics.contains("rq_serve_job_panics_total"));
     }
 
-    /// Worker-panic isolation, directly: at a 50% pool-panic rate, the
+    /// Panic isolation, directly: at a 50% pool-panic rate, the
     /// panicking requests must each come back `error[internal]` while
-    /// their neighbors — on the same workers, the same connection — keep
-    /// completing normally, and the server stays healthy throughout.
+    /// their neighbors — in the same execution slots, on the same
+    /// connection — keep completing normally, and the server stays healthy throughout.
     #[test]
     fn panicking_queries_yield_internal_while_neighbors_complete() {
         quiet_injected_panics();
