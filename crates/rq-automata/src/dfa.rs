@@ -324,113 +324,59 @@ impl Dfa {
         }
     }
 
-    /// Minimize by Hopcroft's worklist partition refinement —
-    /// `O(|Σ| n log n)` versus Moore's `O(|Σ| n²)` ([`Dfa::minimize`]).
-    /// Produces the same canonical automaton (asserted by property tests).
-    pub fn minimize_hopcroft(&self) -> Dfa {
-        let d = self.complete();
-        // Restrict to reachable states.
-        let mut reach = vec![false; d.num_states()];
-        let mut queue = VecDeque::from([d.initial]);
-        reach[d.initial] = true;
-        while let Some(s) = queue.pop_front() {
-            for &t in &d.transitions[s] {
-                if !reach[t] {
-                    reach[t] = true;
-                    queue.push_back(t);
+    /// Drop every state that cannot reach an accepting state (such as the
+    /// sink [`Dfa::minimize`] materializes), making transitions into them
+    /// [`DEAD`], and renumber the rest by BFS from the initial state in
+    /// letter-list order. `None` when `L(self) = ∅`. On a minimal DFA the
+    /// result depends only on the language and the letter list.
+    pub fn trim(mut self) -> Option<Dfa> {
+        let n = self.num_states();
+        // Co-reachability by fixpoint: the DFAs trimmed here are small.
+        let mut live = self.finals.clone();
+        loop {
+            let mut changed = false;
+            for s in 0..n {
+                if !live[s] && self.transitions[s].iter().any(|&t| t != DEAD && live[t]) {
+                    live[s] = true;
+                    changed = true;
                 }
             }
-        }
-        let states: Vec<usize> = (0..d.num_states()).filter(|&s| reach[s]).collect();
-        // Inverse transition function restricted to reachable states.
-        let mut preimage: Vec<Vec<Vec<usize>>> =
-            vec![vec![Vec::new(); d.letters.len()]; d.num_states()];
-        for &s in &states {
-            for (k, &t) in d.transitions[s].iter().enumerate() {
-                preimage[t][k].push(s);
+            if !changed {
+                break;
             }
         }
-        // Initial partition: accepting vs non-accepting (reachable only).
-        let finals: BTreeSet<usize> = states.iter().copied().filter(|&s| d.finals[s]).collect();
-        let nonfinals: BTreeSet<usize> = states.iter().copied().filter(|&s| !d.finals[s]).collect();
-        let mut partition: Vec<BTreeSet<usize>> = Vec::new();
-        let mut work: VecDeque<usize> = VecDeque::new();
-        for block in [finals, nonfinals] {
-            if !block.is_empty() {
-                partition.push(block);
-            }
+        if !live[self.initial] {
+            return None;
         }
-        // Seed the worklist with every block (simple and safely complete).
-        for i in 0..partition.len() {
-            work.push_back(i);
-        }
-        let mut in_work: Vec<bool> = vec![true; partition.len()];
-        while let Some(a_idx) = work.pop_front() {
-            in_work[a_idx] = false;
-            let splitter = partition[a_idx].clone();
-            #[allow(clippy::needless_range_loop)] // k indexes preimage[t][k] for varying t
-            for k in 0..d.letters.len() {
-                // X = states whose k-successor is in the splitter.
-                let mut x: BTreeSet<usize> = BTreeSet::new();
-                for &t in &splitter {
-                    x.extend(preimage[t][k].iter().copied());
-                }
-                if x.is_empty() {
-                    continue;
-                }
-                let mut b = 0;
-                while b < partition.len() {
-                    let inter: BTreeSet<usize> = partition[b].intersection(&x).copied().collect();
-                    if inter.is_empty() || inter.len() == partition[b].len() {
-                        b += 1;
-                        continue;
-                    }
-                    let diff: BTreeSet<usize> = partition[b].difference(&x).copied().collect();
-                    // Replace block b with the two halves.
-                    let (small, large) = if inter.len() <= diff.len() {
-                        (inter, diff)
-                    } else {
-                        (diff, inter)
-                    };
-                    partition[b] = large;
-                    partition.push(small);
-                    let new_idx = partition.len() - 1;
-                    in_work.push(false);
-                    if in_work[b] {
-                        // b is pending: both halves must be processed.
-                        work.push_back(new_idx);
-                        in_work[new_idx] = true;
-                    } else {
-                        // Process the smaller half (Hopcroft's trick).
-                        work.push_back(new_idx);
-                        in_work[new_idx] = true;
-                    }
-                    b += 1;
+        let mut number = vec![DEAD; n];
+        number[self.initial] = 0;
+        let mut order = vec![self.initial];
+        let mut i = 0;
+        while i < order.len() {
+            for &t in &self.transitions[order[i]] {
+                if t != DEAD && live[t] && number[t] == DEAD {
+                    number[t] = order.len();
+                    order.push(t);
                 }
             }
+            i += 1;
         }
-        // Build the quotient automaton.
-        let mut class = vec![usize::MAX; d.num_states()];
-        for (i, block) in partition.iter().enumerate() {
-            for &s in block {
-                class[s] = i;
-            }
-        }
-        let mut transitions = vec![vec![DEAD; d.letters.len()]; partition.len()];
-        let mut finals = vec![false; partition.len()];
-        for &s in &states {
-            let c = class[s];
-            finals[c] = d.finals[s];
-            for (k, &t) in d.transitions[s].iter().enumerate() {
-                transitions[c][k] = class[t];
-            }
-        }
-        Dfa {
-            letters: d.letters,
+        let transitions = order
+            .iter()
+            .map(|&s| {
+                let mut row = std::mem::take(&mut self.transitions[s]);
+                for t in row.iter_mut().filter(|t| **t != DEAD) {
+                    *t = number[*t];
+                }
+                row
+            })
+            .collect();
+        Some(Dfa {
+            letters: self.letters,
             transitions,
-            initial: class[d.initial],
-            finals,
-        }
+            initial: 0,
+            finals: order.iter().map(|&s| self.finals[s]).collect(),
+        })
     }
 
     /// Language equivalence via minimization and isomorphism of canonical
@@ -663,29 +609,21 @@ mod tests {
     }
 
     #[test]
-    fn hopcroft_agrees_with_moore() {
-        for s in [
-            "(a|b)*a.b.b",
-            "(a b)*",
-            "a?b?c?",
-            "(a|b)+",
-            "a*b*c*",
-            "∅",
-            "ε",
-        ] {
-            let mut al = Alphabet::from_names(["a", "b", "c"]);
-            let e = parse(s, &mut al).unwrap();
-            let sigma: Vec<Letter> = al.sigma().collect();
-            let d = Dfa::determinize(&Nfa::from_regex(&e), &sigma);
-            let moore = d.minimize();
-            let hopcroft = d.minimize_hopcroft();
-            assert_eq!(
-                moore.num_states(),
-                hopcroft.num_states(),
-                "{s}: minimal automata must have equal size"
-            );
-            assert!(moore.equivalent(&hopcroft), "{s}: languages must agree");
+    fn trim_drops_the_sink_and_keeps_the_language() {
+        let (n, _, a) = setup("a.b");
+        let sigma: Vec<Letter> = a.sigma().collect();
+        let m = Dfa::determinize(&n, &sigma).minimize();
+        let t = m.clone().trim().expect("nonempty language");
+        // `a b` over {a, b}: three live states plus the sink.
+        assert_eq!((m.num_states(), t.num_states()), (4, 3));
+        assert_eq!(t.initial(), 0);
+        for w in n.enumerate_words(4, 100) {
+            assert!(t.accepts(&w));
         }
+        assert!(!t.accepts(&[sigma[1]]));
+        assert!(t.complete().equivalent(&m));
+        let (n, letters, _) = setup("∅");
+        assert!(Dfa::determinize(&n, &letters).minimize().trim().is_none());
     }
 
     #[test]

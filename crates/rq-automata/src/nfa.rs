@@ -93,6 +93,11 @@ impl Nfa {
         &self.transitions[s]
     }
 
+    /// Number of letter transitions.
+    pub fn num_transitions(&self) -> usize {
+        self.transitions.iter().map(Vec::len).sum()
+    }
+
     /// Whether the automaton has any ε-transitions.
     pub fn has_epsilon(&self) -> bool {
         self.epsilon.iter().any(|v| !v.is_empty())

@@ -22,13 +22,18 @@
 //!
 //! [`CompiledQuery`] holds a query with everything the containment ladder
 //! derives from it alone, so the cache, its probes and pre-flight build
-//! those artefacts once per query instead of once per pair.
+//! those artefacts once per query instead of once per pair. It also keeps
+//! the trimmed minimal DFA the key serializes: the engine evaluates the
+//! query over it ([`CompiledQuery::automaton`]), with the query's NFA as
+//! the fallback.
 
 use crate::rpq::TwoRpq;
+use rq_automata::dfa::DEAD;
 use rq_automata::governor::{expect_unlimited, Exhaustion, Governor};
 use rq_automata::regex::simplify;
 use rq_automata::simple::{classify, SimpleRe};
 use rq_automata::{Alphabet, Dfa, Letter, Nfa, Regex};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// The canonical key of the empty-language query.
@@ -46,10 +51,10 @@ pub fn canonical_key_governed(
     alphabet: &Alphabet,
     gov: &Governor,
 ) -> Result<String, Exhaustion> {
-    simplified_key(&simplify(q.regex()), alphabet, gov)
+    simplified_key(&simplify(q.regex()), alphabet, gov).map(|(key, _)| key)
 }
 
-/// A query and its containment artefacts, built once by
+/// A query and its containment and evaluation artefacts, built once by
 /// [`CompiledQuery::new`]. The fields stay private so the artefacts can
 /// only ever be the ones derived from `query`.
 #[derive(Debug, Clone)]
@@ -61,17 +66,25 @@ pub struct CompiledQuery {
     pub(crate) key: Option<String>,
     /// The simple-fragment class, or `None` outside the fragment.
     pub(crate) class: Option<SimpleRe>,
+    /// The minimal DFA the key serializes, trimmed of its sink, or `None`
+    /// when the key budget ran out or the language is empty.
+    dfa: Option<Dfa>,
 }
 
 impl CompiledQuery {
     /// Simplify, key (metered by `gov`) and classify `q`.
     pub fn new(q: &TwoRpq, alphabet: &Alphabet, gov: &Governor) -> CompiledQuery {
         let regex = simplify(q.regex());
+        let (key, dfa) = match simplified_key(&regex, alphabet, gov) {
+            Ok((key, dfa)) => (Some(key), dfa),
+            Err(_) => (None, None),
+        };
         CompiledQuery {
             query: q.clone(),
-            key: simplified_key(&regex, alphabet, gov).ok(),
+            key,
             class: classify(&regex).ok(),
             regex,
+            dfa,
         }
     }
 
@@ -87,25 +100,44 @@ impl CompiledQuery {
             .clone()
             .unwrap_or_else(|| syntactic_key(&self.query, alphabet))
     }
+
+    /// The automaton to evaluate the query over: the trimmed minimal DFA,
+    /// as an ε-free [`Nfa`] (`Cow::Owned`), when it has no more
+    /// transitions than the query's NFA; otherwise, or when there is no
+    /// DFA, the query's NFA ([`TwoRpq::nfa`], `Cow::Borrowed`).
+    pub fn automaton(&self) -> Cow<'_, Nfa> {
+        let nfa = self.query.nfa();
+        match self.dfa.as_ref().map(Dfa::to_nfa) {
+            Some(dfa) if dfa.num_transitions() <= nfa.num_transitions() => Cow::Owned(dfa),
+            _ => Cow::Borrowed(nfa),
+        }
+    }
 }
 
-/// Canonical key of an already simplified `regex`.
+/// Canonical key of an already simplified `regex`, with the trimmed
+/// minimal DFA it serializes (`None` for the empty language).
 fn simplified_key(
     regex: &Regex,
     alphabet: &Alphabet,
     gov: &Governor,
-) -> Result<String, Exhaustion> {
+) -> Result<(String, Option<Dfa>), Exhaustion> {
     if regex.is_empty_language() {
-        return Ok(EMPTY_KEY.to_string());
+        return Ok((EMPTY_KEY.to_string(), None));
     }
     // Sort the mentioned letters by (label name, direction) so the DFA's
-    // column order — and hence the BFS renumbering below — is stable across
-    // alphabets that intern the same names in different orders.
+    // column order — and hence the BFS renumbering of `Dfa::trim` — is
+    // stable across alphabets that intern the same names in different
+    // orders.
     let mut letters: Vec<Letter> = regex.letters().into_iter().collect();
     letters.sort_by_key(|l| (alphabet.name(l.label).to_string(), l.inverse));
     let nfa = Nfa::from_regex(regex).eliminate_epsilon().trim();
-    let dfa = Dfa::determinize_governed(&nfa, &letters, gov)?.minimize();
-    Ok(serialize(&dfa, alphabet))
+    let dfa = Dfa::determinize_governed(&nfa, &letters, gov)?
+        .minimize()
+        .trim();
+    let key = dfa
+        .as_ref()
+        .map_or_else(|| EMPTY_KEY.to_string(), |d| serialize(d, alphabet));
+    Ok((key, dfa))
 }
 
 /// The syntactic fallback key: the simplified regex rendered through label
@@ -114,72 +146,25 @@ pub fn syntactic_key(q: &TwoRpq, alphabet: &Alphabet) -> String {
     format!("re:{}", simplify(q.regex()).display(alphabet))
 }
 
-/// Serialize a minimal complete DFA into a canonical string: states are
-/// renumbered by BFS from the initial state in sorted-letter column order,
-/// transitions into non-co-reachable (sink) states are dropped, and letters
-/// are written as label names.
+/// Serialize a trimmed minimal DFA into a canonical string. [`Dfa::trim`]
+/// has already dropped the sink — so queries over different letter sets
+/// still agree — and numbered the states by BFS in sorted-letter column
+/// order; letters are written as label names.
 fn serialize(dfa: &Dfa, alphabet: &Alphabet) -> String {
     let n = dfa.num_states();
-    // Co-reachable states: those from which some accepting state is
-    // reachable. Dropping the rest erases the sink class `minimize`
-    // materializes, so queries over different letter sets still agree.
-    let mut live = vec![false; n];
-    loop {
-        let mut changed = false;
-        for s in 0..n {
-            if live[s] {
-                continue;
-            }
-            let reaches = dfa.is_final(s)
-                || (0..dfa.letters().len()).any(|k| {
-                    let t = dfa.next_by_index(s, k);
-                    t < n && live[t]
-                });
-            if reaches {
-                live[s] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
+    let mut out = format!("dfa:{n};");
+    for s in (0..n).filter(|&s| dfa.is_final(s)) {
+        let _ = write!(out, "f{s};");
     }
-    if !live[dfa.initial()] {
-        return EMPTY_KEY.to_string();
-    }
-    // BFS renumbering over live states only, in column (sorted-letter) order.
-    let mut number = vec![usize::MAX; n];
-    let mut order = vec![dfa.initial()];
-    number[dfa.initial()] = 0;
-    let mut i = 0;
-    while i < order.len() {
-        let s = order[i];
-        for k in 0..dfa.letters().len() {
-            let t = dfa.next_by_index(s, k);
-            if t < n && live[t] && number[t] == usize::MAX {
-                number[t] = order.len();
-                order.push(t);
-            }
-        }
-        i += 1;
-    }
-    let mut out = format!("dfa:{};", order.len());
-    for (new, &s) in order.iter().enumerate() {
-        if dfa.is_final(s) {
-            let _ = write!(out, "f{new};");
-        }
-    }
-    for &s in &order {
+    for s in 0..n {
         for (k, &l) in dfa.letters().iter().enumerate() {
             let t = dfa.next_by_index(s, k);
-            if t < n && live[t] {
+            if t != DEAD {
                 let _ = write!(
                     out,
-                    "{}-{}{}>{};",
-                    number[s],
+                    "{s}-{}{}>{t};",
                     alphabet.name(l.label),
                     if l.inverse { "~" } else { "" },
-                    number[t]
                 );
             }
         }
@@ -248,5 +233,48 @@ mod tests {
         assert_eq!(e.resource, Resource::Fuel);
         // The fallback key is still available and deterministic.
         assert_eq!(syntactic_key(&q, &al), syntactic_key(&q, &al));
+    }
+
+    #[test]
+    fn evaluation_runs_the_smaller_minimal_dfa() {
+        use rq_graph::{frontier, generate};
+        let db = generate::random_gnm(60, 180, &["a", "b"], 7);
+        let mut al = db.alphabet().clone();
+        // A cold-eval-shaped chain: the Thompson NFA keeps a state per
+        // union branch that the minimal DFA merges.
+        let q = TwoRpq::parse("a (a|b) (b|a-) (a|b) b-", &mut al).unwrap();
+        let compiled = CompiledQuery::new(&q, &al, &Governor::unlimited());
+        let dfa = compiled.automaton();
+        assert!(matches!(dfa, Cow::Owned(_)), "the DFA is evaluated");
+        assert!(
+            dfa.num_states() < q.nfa().num_states(),
+            "{} DFA states vs {} NFA states",
+            dfa.num_states(),
+            q.nfa().num_states()
+        );
+        let all_pairs = |nfa: &Nfa| {
+            let gov = Governor::unlimited();
+            let answer = frontier::all_pairs_governed(&db, nfa, &gov).unwrap();
+            (answer, gov.fuel_spent())
+        };
+        let (dfa_answer, dfa_fuel) = all_pairs(&dfa);
+        let (nfa_answer, nfa_fuel) = all_pairs(q.nfa());
+        assert!(!nfa_answer.is_empty());
+        assert_eq!(dfa_answer, nfa_answer);
+        assert!(dfa_fuel < nfa_fuel, "fuel {dfa_fuel} vs {nfa_fuel}");
+    }
+
+    #[test]
+    fn exhausted_or_empty_keys_evaluate_the_nfa() {
+        let mut al = Alphabet::new();
+        let q = TwoRpq::parse("(a|b)(a|b)(a|b)(a|b)", &mut al).unwrap();
+        let starved = Limits::unlimited().with_fuel(1).governor();
+        let compiled = CompiledQuery::new(&q, &al, &starved);
+        assert!(compiled.key.is_none());
+        assert!(matches!(compiled.automaton(), Cow::Borrowed(n) if n == q.nfa()));
+        let empty = TwoRpq::new(Regex::union([]));
+        let compiled = CompiledQuery::new(&empty, &al, &Governor::unlimited());
+        assert_eq!(compiled.key.as_deref(), Some(EMPTY_KEY));
+        assert!(matches!(compiled.automaton(), Cow::Borrowed(_)));
     }
 }

@@ -11,10 +11,11 @@
 use crate::cache::{Answer, CacheConfig, CacheStats, Lookup, SemanticCache};
 use crate::pool::WorkerPool;
 use rq_automata::governor::{EngineError, Governor, Limits, Resource};
-use rq_automata::{Alphabet, LabelId};
+use rq_automata::{Alphabet, LabelId, Nfa};
 use rq_core::TwoRpq;
 use rq_graph::{frontier, Delta, GraphDb, NodeId};
 use rq_metrics::span;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -388,10 +389,9 @@ impl Engine {
             };
             (key, lookup, q_eff, self.db(), self.epoch())
         };
-        let q = &q_eff;
         // Graph work happens outside the lock: concurrent callers only
         // contend on key computation and probes.
-        let (answer, disposition) = match lookup {
+        let (sources, disposition) = match lookup {
             Lookup::Exact(answer) => {
                 return Ok(QueryResult {
                     answer,
@@ -411,15 +411,17 @@ impl Engine {
                 // re-check.
                 let mut sources: Vec<NodeId> = superset.iter().map(|&(x, _)| x).collect();
                 sources.dedup();
-                let answer = Arc::new(self.eval_sources(q, &db, sources, limits, cancel)?);
-                (answer, Disposition::Subsumed)
+                (sources, Disposition::Subsumed)
             }
-            Lookup::Miss => {
-                let sources: Vec<NodeId> = db.nodes().collect();
-                let answer = Arc::new(self.eval_sources(q, &db, sources, limits, cancel)?);
-                (answer, Disposition::Miss)
-            }
+            Lookup::Miss => (db.nodes().collect(), Disposition::Miss),
         };
+        // The compiled query's automaton; degraded serving compiled
+        // nothing, so it runs the query's NFA.
+        let automaton = match &key {
+            Some((_, compiled)) => compiled.automaton(),
+            None => Cow::Borrowed(q_eff.nfa()),
+        };
+        let answer = Arc::new(self.eval_sources(automaton, &db, sources, limits, cancel)?);
         if let Some((key, compiled)) = key {
             let mut shared = self.shared();
             // The recovery may have happened mid-request (the poison was
@@ -581,8 +583,11 @@ impl Engine {
         report
     }
 
-    /// Evaluate `q` from every source in `sources` (ascending, distinct)
-    /// across the pool, one governed product BFS per source.
+    /// Evaluate a query, given by its ε-free `automaton`, from every
+    /// source in `sources` (ascending, distinct) across the pool, one
+    /// governed product BFS per source. `Cow::Owned` is the compiled
+    /// query's DFA ([`rq_core::canonical::CompiledQuery::automaton`]);
+    /// fuel is one unit per product edge of whichever automaton runs.
     ///
     /// Stripe `s` of `k` owns the contiguous slice
     /// `sources[s·n/k .. (s+1)·n/k]` and harvests it into one source-major
@@ -604,7 +609,7 @@ impl Engine {
     /// returned or cached.
     fn eval_sources(
         &self,
-        q: &TwoRpq,
+        automaton: Cow<'_, Nfa>,
         db: &Arc<GraphDb>,
         sources: Vec<NodeId>,
         limits: &Limits,
@@ -618,13 +623,20 @@ impl Engine {
         if eval_span.active() {
             eval_span.record("sources", sources.len());
             eval_span.record("stripes", stripes);
+            let kind = if matches!(automaton, Cow::Owned(_)) {
+                "dfa"
+            } else {
+                "nfa"
+            };
+            eval_span.record("automaton", kind);
+            eval_span.record("automaton_states", automaton.num_states());
         }
         // Hand the request's trace to every stripe, parented under the
         // eval span, so worker-side spans (stripe, per-source BFS) land
         // in the same tree even though they run on pool threads.
         let trace_parent = span::current_context().map(|(ctx, _)| (ctx, eval_span.id()));
         let db = Arc::clone(db);
-        let nfa = Arc::new(q.nfa().clone());
+        let nfa = Arc::new(automaton.into_owned());
         let sources: Arc<[NodeId]> = sources.into();
         let limits = limits.clone();
         let results = run_stripes(&self.pool, stripes, move |s, peer_cancel| {
@@ -1010,13 +1022,8 @@ mod tests {
         assert!(got.answer.is_empty());
     }
 
-    #[test]
-    fn poisoned_lock_recovers_to_cache_off_serving() {
-        let eng = engine(2);
-        let q = eng.parse("a+").unwrap();
-        assert_eq!(eng.run(&q).unwrap().disposition, Disposition::Miss);
-        assert_eq!(eng.run(&q).unwrap().disposition, Disposition::Exact);
-        // Poison the shared lock: a thread panics while holding it.
+    /// Poison the shared lock: a thread panics while holding it.
+    fn poison(eng: &Engine) {
         std::thread::scope(|s| {
             let h = s.spawn(|| {
                 let _guard = eng.shared.lock().unwrap();
@@ -1024,6 +1031,54 @@ mod tests {
             });
             assert!(h.join().is_err());
         });
+    }
+
+    #[test]
+    fn degraded_serving_evaluates_the_nfa_with_the_same_answers() {
+        use rq_automata::random::{random_regex, RegexConfig, SplitMix64};
+        use rq_metrics::span::TraceContext;
+        // Without pre-flight the engine evaluates `q` itself.
+        let db = generate::random_gnm(30, 90, &["a", "b"], 7);
+        let config = EngineConfig {
+            threads: 2,
+            preflight: false,
+            ..EngineConfig::default()
+        };
+        let eng = Engine::new(db.clone(), config);
+        poison(&eng);
+        let mut rng = SplitMix64::new(23);
+        let cfg = RegexConfig {
+            num_labels: 2,
+            inverse_prob: 0.3,
+            leaves: 5,
+            repeat_prob: 0.3,
+        };
+        for _ in 0..16 {
+            let q = TwoRpq::new(random_regex(&mut rng, &cfg));
+            let ctx = TraceContext::start();
+            let got = {
+                let _g = span::install(&ctx, 0);
+                eng.run(&q).unwrap()
+            };
+            assert!(eng.is_degraded());
+            assert_eq!(got.disposition, Disposition::Miss);
+            assert_eq!(*got.answer, q.evaluate(&db));
+            let trace = ctx.finish("ok", "");
+            let eval = trace.spans.iter().find(|s| s.name == "engine.eval");
+            let fields = &eval.expect("the run evaluated").fields;
+            assert!(fields.contains(&("automaton", "nfa".to_string())));
+            let states = q.nfa().num_states().to_string();
+            assert!(fields.contains(&("automaton_states", states)));
+        }
+    }
+
+    #[test]
+    fn poisoned_lock_recovers_to_cache_off_serving() {
+        let eng = engine(2);
+        let q = eng.parse("a+").unwrap();
+        assert_eq!(eng.run(&q).unwrap().disposition, Disposition::Miss);
+        assert_eq!(eng.run(&q).unwrap().disposition, Disposition::Exact);
+        poison(&eng);
         // Recovery: the next request is served from the graph (cache-off),
         // not a process abort, and the answer is still correct.
         let got = eng.run(&q).unwrap();

@@ -14,6 +14,12 @@
 //! The ungoverned entry points in `rq-core` run these under
 //! [`Governor::unlimited`], which never exhausts.
 //!
+//! The automaton is any ε-free [`Nfa`]. The engine's misses and subsumed
+//! hits pass the compiled query's trimmed minimal DFA in that form
+//! (`CompiledQuery::automaton`) when it has no more transitions than the
+//! query's NFA; everything else passes the NFA of `TwoRpq::new`. Fuel is
+//! one unit per product edge of whichever automaton runs.
+//!
 //! Answers are harvested flat. One drain loop appends each source's final
 //! nodes to a row `Vec`, deduplicated by epoch-stamped marks reused across
 //! sources, and sorts the row; [`harvest_pairs`] lays rows out
@@ -32,8 +38,9 @@ pub type ProductState = (NodeId, usize);
 
 /// An in-progress BFS over the product `db × nfa` from one source node.
 ///
-/// The automaton must be ε-free (as produced by `TwoRpq::new`); ε-moves
-/// would need closure handling the frontier deliberately omits.
+/// The automaton must be ε-free (as `TwoRpq::new` and
+/// `CompiledQuery::automaton` produce it); ε-moves would need closure
+/// handling the frontier deliberately omits.
 pub struct ProductBfs<'a> {
     db: &'a GraphDb,
     nfa: &'a Nfa,

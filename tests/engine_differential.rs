@@ -1,11 +1,17 @@
 //! Differential tests: the parallel, semantically cached `rq-engine` must
 //! answer exactly like the sequential `rq-core` evaluator — on cold
 //! caches, on exact/equivalent hits, and on subsumption hits answered by
-//! filtering a cached superset.
+//! filtering a cached superset. Misses and subsumed hits evaluate the
+//! compiled query's automaton (its trimmed minimal DFA when that is no
+//! larger), while the sequential oracle runs the query's NFA.
+//!
+//! `compiled_automaton_answers_match_sequential` scales with
+//! `PROPTEST_CASES` (default 32); a failure names its case.
 
 use regular_queries::automata::random::{random_regex, RegexConfig, SplitMix64};
+use regular_queries::core::canonical::CompiledQuery;
 use regular_queries::core::TwoRpq;
-use regular_queries::engine::{Disposition, Engine, EngineConfig};
+use regular_queries::engine::{Disposition, Engine, EngineConfig, QueryResult};
 use regular_queries::graph::generate;
 use regular_queries::prelude::*;
 
@@ -324,4 +330,87 @@ fn concurrent_callers_match_sequential() {
             }
         });
     }
+}
+
+/// Sample count: `PROPTEST_CASES` or 32.
+fn cases() -> u64 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(32)
+}
+
+/// One traced run of `q`: its result and the `automaton` field of its
+/// `engine.eval` span.
+fn run_traced(engine: &Engine, q: &TwoRpq) -> (QueryResult, String) {
+    use regular_queries::metrics::span::{self, TraceContext};
+    let ctx = TraceContext::start();
+    let result = {
+        let _g = span::install(&ctx, 0);
+        engine.run(q).expect("unlimited budgets never trip")
+    };
+    let trace = ctx.finish("ok", "");
+    let eval = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "engine.eval")
+        .expect("the run evaluated");
+    let (_, kind) = eval
+        .fields
+        .iter()
+        .find(|(k, _)| *k == "automaton")
+        .expect("automaton field");
+    (result, kind.clone())
+}
+
+#[test]
+fn compiled_automaton_answers_match_sequential() {
+    let (mut dfa_runs, mut subsumed_hits, mut starved_keys) = (0, 0, 0);
+    for case in 0..cases() {
+        let mut rng = SplitMix64::new(case ^ 0xC0DE);
+        let nodes = rng.range(2, 40);
+        let db = generate::random_gnm(nodes, rng.range(1, 3 * nodes), &["a", "b"], case);
+        let cfg = RegexConfig {
+            num_labels: 2,
+            inverse_prob: 0.3,
+            leaves: rng.range(1, 7),
+            repeat_prob: 0.3,
+        };
+        let q = TwoRpq::new(random_regex(&mut rng, &cfg));
+        let expect = q.evaluate(&db);
+        let config = EngineConfig {
+            threads: rng.range(1, 3),
+            ..EngineConfig::default()
+        };
+        let engine = Engine::new(db.clone(), config.clone());
+        // A cold miss.
+        let (miss, kind) = run_traced(&engine, &q);
+        assert_eq!(miss.disposition, Disposition::Miss, "case {case}");
+        assert_eq!(*miss.answer, expect, "case {case}: miss");
+        dfa_runs += usize::from(kind == "dfa");
+        // A subsumed hit, filtered from the Σ±* superset.
+        engine.clear_cache();
+        engine.run(&engine.parse("(a|b|a-|b-)*").unwrap()).unwrap();
+        let got = engine.run(&q).expect("unlimited budgets never trip");
+        assert_eq!(*got.answer, expect, "case {case}: {}", got.disposition);
+        subsumed_hits += usize::from(got.disposition == Disposition::Subsumed);
+        // A key budget of 1 fuel: when keying runs out, the miss
+        // evaluates the query's NFA. Without pre-flight the engine
+        // compiles `q` itself.
+        let mut starved = config;
+        starved.preflight = false;
+        starved.cache.key_limits = Limits::unlimited().with_fuel(1);
+        let al = engine.alphabet();
+        let compiled = CompiledQuery::new(&q, &al, &starved.cache.key_limits.governor());
+        let (got, kind) = run_traced(&Engine::new(db, starved), &q);
+        assert_eq!(*got.answer, expect, "case {case}: starved key");
+        if compiled.cache_key(&al).starts_with("re:") {
+            assert_eq!(kind, "nfa", "case {case}");
+            starved_keys += 1;
+        }
+    }
+    let n = cases() as usize;
+    assert!(dfa_runs > n / 2, "{dfa_runs} of {n} misses ran the DFA");
+    assert!(subsumed_hits > n / 2, "{subsumed_hits} of {n} subsumed");
+    assert!(starved_keys > n / 2, "{starved_keys} of {n} keys starved");
 }

@@ -253,21 +253,6 @@ fn to_regex_roundtrip() {
     }
 }
 
-/// Hopcroft and Moore minimization agree in size and language.
-#[test]
-fn hopcroft_equals_moore() {
-    for seed in 0..CASES {
-        let mut rng = SplitMix64::new(seed);
-        let e = gen_regex(&mut rng);
-        let sigma: Vec<Letter> = ab().sigma_pm().collect();
-        let d = Dfa::determinize(&Nfa::from_regex(&e), &sigma);
-        let moore = d.minimize();
-        let hopcroft = d.minimize_hopcroft();
-        assert_eq!(moore.num_states(), hopcroft.num_states(), "seed {seed}");
-        assert!(moore.equivalent(&hopcroft), "seed {seed}");
-    }
-}
-
 /// NFA intersection is language intersection on sampled words.
 #[test]
 fn intersection_correct() {
