@@ -106,7 +106,7 @@ pub const RULES: &[RuleInfo] = &[
         slug: "simple-fragment",
         severity: Severity::Info,
         class: "automata",
-        justification: "the query is in the SCRPQ fragment (Figueira et al. 2020): containment drops from EXPSPACE to polynomial and the ladder's simple rung decides probes without the 2NFA pipeline",
+        justification: "the query is in the SCRPQ fragment (Figueira et al. 2020): containment drops from EXPSPACE to polynomial, and since the fragment is one-way the ladder's Lemma 1 rung decides probes into it without the 2NFA pipeline",
         complexity: "O(n)",
     },
     RuleInfo {
@@ -114,7 +114,7 @@ pub const RULES: &[RuleInfo] = &[
         slug: "non-simple-subterm",
         severity: Severity::Info,
         class: "automata",
-        justification: "one subterm excludes the query from the SCRPQ fragment, so containment probes fall back to the exact (EXPSPACE-bound) machinery; the witness pinpoints the offending subterm",
+        justification: "one subterm excludes the query from the SCRPQ fragment and its polynomial containment bounds; probes into a one-way query still stop at the ladder's Lemma 1 rung, and only an inverse letter sends them to the exact 2NFA checker; the witness pinpoints the offending subterm",
         complexity: "O(n)",
     },
     RuleInfo {

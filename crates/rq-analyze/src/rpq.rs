@@ -202,11 +202,13 @@ fn subsumed_union_branches(e: &Regex, alphabet: &Alphabet, limits: &Limits, repo
 }
 
 /// RQA006 / RQA007 — membership in the simple (SCRPQ) fragment. Info
-/// either way: RQA006 announces that the polynomial containment fast
-/// paths apply; RQA007 pinpoints the first subterm that forces probes
-/// back onto the exact (EXPSPACE-bound) machinery. Runs on the query as
-/// written, which is also what lets the witness subterm be located in
-/// `source` when the caller still has the text.
+/// either way: RQA006 announces that the fragment's polynomial
+/// containment bounds apply; RQA007 pinpoints the first subterm outside
+/// it, and notes whether containment probes into the query still stop at
+/// the ladder's Lemma 1 rung (it is one-way) or reach the exact 2NFA
+/// checker (it reads an inverse letter). Runs on the query as written,
+/// which is also what lets the witness subterm be located in `source`
+/// when the caller still has the text.
 fn simple_fragment(e: &Regex, source: Option<&str>, alphabet: &Alphabet, report: &mut Report) {
     match classify(e) {
         Ok(s) => {
@@ -227,10 +229,13 @@ fn simple_fragment(e: &Regex, source: Option<&str>, alphabet: &Alphabet, report:
                     v.display(alphabet)
                 ),
             )
-            .with_note(
-                "containment probes for this query escalate past the ladder's polynomial \
-                 simple rung to the exact 2NFA checker",
-            );
+            .with_note(if e.is_forward_only() {
+                "the query is one-way, so containment probes into it are still decided by \
+                 the ladder's Lemma 1 rung over its minimal DFA"
+            } else {
+                "the query reads an inverse letter, so containment probes into it escalate \
+                 past the ladder's Lemma 1 rung to the exact 2NFA checker"
+            });
             if let Some(span) = source.and_then(|src| locate_subterm(src, &v.subterm, alphabet)) {
                 d = d.with_span(span);
             }

@@ -11,12 +11,15 @@
 //! Instead, we construct A on the fly, constructing states only as we search
 //! for a path" — [`check_on_the_fly`] does exactly that (and BFS yields a
 //! *shortest* counterexample word). [`check_explicit`] is the naive eager
-//! variant, kept so experiment E1 can measure the gap.
+//! variant, kept so experiment E1 can measure the gap. When the right-hand
+//! side is already deterministic (a compiled minimal DFA),
+//! [`check_against_dfa`] skips step 2 and searches the plain product.
 
 use crate::alphabet::Letter;
 use crate::dfa::{Dfa, LazyDeterminizer, DEAD};
 use crate::governor::{expect_unlimited, Exhaustion, Governor};
 use crate::nfa::Nfa;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Outcome of a containment check, with search statistics.
@@ -110,6 +113,56 @@ pub fn check_on_the_fly_governed(
     Ok(ContainmentRun::contained_run(seen.len()))
 }
 
+/// Decide `L(a1) ⊆ L(d2)` against a deterministic right-hand side: BFS
+/// over the product of `a1` with `d2`, where a missing transition leads
+/// to the dead state. There is no subset construction, so the search
+/// visits at most `|a1| · (|d2| + 1)` product states and is not metered;
+/// BFS order still yields a shortest counterexample word.
+pub fn check_against_dfa(a1: &Nfa, d2: &Dfa) -> ContainmentRun {
+    let clean;
+    let a1 = if a1.has_epsilon() {
+        clean = a1.eliminate_epsilon();
+        &clean
+    } else {
+        a1
+    };
+    // Product state: (NFA state of a1, state of d2 or DEAD). Each seen
+    // state maps to its BFS parent and the letter that reached it.
+    type Prod = (usize, usize);
+    let mut pred: HashMap<Prod, Option<(Prod, Letter)>> = HashMap::new();
+    let mut queue: VecDeque<Prod> = VecDeque::new();
+    for s in a1.initial_states() {
+        let p = (s, d2.initial());
+        if pred.insert(p, None).is_none() {
+            queue.push_back(p);
+        }
+    }
+    while let Some(p @ (s, d)) = queue.pop_front() {
+        if a1.is_final(s) && (d == DEAD || !d2.is_final(d)) {
+            let mut word = Vec::new();
+            let mut cur = p;
+            while let Some(&Some((prev, l))) = pred.get(&cur) {
+                word.push(l);
+                cur = prev;
+            }
+            word.reverse();
+            return ContainmentRun {
+                contained: false,
+                counterexample: Some(word),
+                states_explored: pred.len(),
+            };
+        }
+        for &(l, t) in a1.transitions_from(s) {
+            let np = (t, if d == DEAD { DEAD } else { d2.next(d, l) });
+            if let Entry::Vacant(v) = pred.entry(np) {
+                v.insert(Some((p, l)));
+                queue.push_back(np);
+            }
+        }
+    }
+    ContainmentRun::contained_run(pred.len())
+}
+
 /// Decide `L(a1) ⊆ L(a2)` by eager construction: determinize `a2` over
 /// `letters`, complement it, product with `a1`, emptiness. Same answer as
 /// [`check_on_the_fly`]; exponentially more states on adversarial inputs.
@@ -125,59 +178,19 @@ pub fn check_explicit(a1: &Nfa, a2: &Nfa, letters: &[Letter]) -> ContainmentRun 
 /// [`check_explicit`] under a resource [`Governor`]. The eager subset
 /// construction is metered by [`Dfa::determinize_governed`], so the
 /// exponential complementation step exhausts gracefully instead of
-/// allocating without bound.
+/// allocating without bound; the product with the completed DFA is then
+/// polynomial ([`check_against_dfa`]). The states explored count the
+/// product states plus the complement's states.
 pub fn check_explicit_governed(
     a1: &Nfa,
     a2: &Nfa,
     letters: &[Letter],
     gov: &Governor,
 ) -> Result<ContainmentRun, Exhaustion> {
-    let comp = Dfa::determinize_governed(a2, letters, gov)?.complement();
-    let a1 = a1.eliminate_epsilon();
-    // Product of NFA a1 with DFA comp; BFS for (final, final).
-    type Prod = (usize, usize);
-    let mut pred: HashMap<Prod, (Prod, Letter)> = HashMap::new();
-    let mut seen: BTreeSet<Prod> = BTreeSet::new();
-    let mut queue: VecDeque<Prod> = VecDeque::new();
-    for s in a1.initial_states() {
-        let p = (s, comp.initial());
-        if seen.insert(p) {
-            gov.construct_state()?;
-            queue.push_back(p);
-        }
-    }
-    let total_states = |seen: &BTreeSet<Prod>| seen.len() + comp.num_states();
-    while let Some(p @ (s, d)) = queue.pop_front() {
-        gov.tick()?;
-        if a1.is_final(s) && comp.is_final(d) {
-            let mut word = Vec::new();
-            let mut cur = p;
-            while let Some(&(prev, l)) = pred.get(&cur) {
-                word.push(l);
-                cur = prev;
-            }
-            word.reverse();
-            return Ok(ContainmentRun {
-                contained: false,
-                counterexample: Some(word),
-                states_explored: total_states(&seen),
-            });
-        }
-        for &(l, t) in a1.transitions_from(s) {
-            gov.tick()?;
-            let nd = comp.next(d, l);
-            if nd == DEAD {
-                continue;
-            }
-            let np = (t, nd);
-            if seen.insert(np) {
-                gov.construct_state()?;
-                pred.insert(np, (p, l));
-                queue.push_back(np);
-            }
-        }
-    }
-    Ok(ContainmentRun::contained_run(total_states(&seen)))
+    let d2 = Dfa::determinize_governed(a2, letters, gov)?.complete();
+    let mut run = check_against_dfa(a1, &d2);
+    run.states_explored += d2.num_states();
+    Ok(run)
 }
 
 /// Whether `L(a1) = L(a2)`.
@@ -274,6 +287,38 @@ mod tests {
             }
             if let Some(ce) = &exp.counterexample {
                 assert!(n1.accepts(ce) && !n2.accepts(ce));
+            }
+        }
+    }
+
+    #[test]
+    fn dfa_product_agrees_with_on_the_fly() {
+        let cases = [
+            ("a(b|c)*", "(a|b|c)*"),
+            ("(a|b)*a b b", "(a|b)*b b"),
+            ("(a b)*", "(a b)*a b|ε"),
+            ("a*b", "a*"),
+            ("p p- p", "p (p q)*"),
+            ("a", "∅"),
+        ];
+        for (s1, s2) in cases {
+            let (n1, n2, al) = pair(s1, s2);
+            let letters: Vec<_> = al.sigma_pm().collect();
+            let d2 = Dfa::determinize(&n2, &letters).minimize();
+            let fly = check_on_the_fly(&n1, &n2);
+            let dfa = check_against_dfa(&n1, &d2);
+            assert_eq!(fly.contained, dfa.contained, "{s1} vs {s2}");
+            assert_eq!(
+                fly.counterexample.as_ref().map(Vec::len),
+                dfa.counterexample.as_ref().map(Vec::len),
+                "{s1} vs {s2}: both counterexamples are shortest"
+            );
+            if let Some(ce) = &dfa.counterexample {
+                assert!(n1.accepts(ce) && !n2.accepts(ce));
+            }
+            // A trimmed DFA (missing transitions = dead) decides the same.
+            if let Some(trimmed) = d2.trim() {
+                assert_eq!(check_against_dfa(&n1, &trimmed).contained, dfa.contained);
             }
         }
     }

@@ -13,19 +13,17 @@
 //! A single letter `a` is the singleton disjunction `D({a})`, `A⁺`
 //! normalizes to `D(A)·St(A)`, and ε is the empty concatenation. For
 //! queries in this fragment, containment drops from the general
-//! EXPSPACE bound to tractable complexity — `rq-core`'s
-//! `containment::simple` exploits exactly this, and the `check_quick`
-//! ladder gates that fast path on [`classify`] succeeding for both
-//! sides.
+//! EXPSPACE bound to tractable complexity.
 //!
 //! **The fragment is forward-only by design.** For forward RPQs,
 //! query containment coincides with word-language containment (the
 //! Lemma 1 reduction), so a word-level decision procedure returns
 //! *exact* verdicts in both directions. With inverse letters that
 //! equivalence breaks — `p ⊑ p p⁻ p` holds as 2RPQs even though
-//! `L(p) ⊄ L(p p⁻ p)` (fold containment, Lemma 2) — so the classifier
-//! rejects every inverse letter rather than let the word-level checker
-//! return an unsound `NotContained`.
+//! `L(p) ⊄ L(p p⁻ p)` (fold containment, Lemma 2). The serving ladder
+//! does not classify: `rq-core`'s `check_quick` takes its Lemma 1 rung
+//! whenever the right-hand side is one-way, simple or not. The class
+//! feeds the `RQA006`/`RQA007` lints.
 //!
 //! [`classify`] either produces the normalized atom sequence
 //! ([`SimpleRe`]) or a structured [`SimpleViolation`] naming the first

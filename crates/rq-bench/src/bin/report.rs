@@ -1052,13 +1052,13 @@ fn delta(before: &Snapshot, after: &Snapshot) -> Delta {
     }
 }
 
-/// The simple-fragment ladder rung on the serving path. Two workloads,
-/// each counted from a cold cache with a metrics snapshot on either side:
-/// the simple-heavy batch (`e17_simple_batch`), whose every probe is a
-/// simple-vs-simple pair the polynomial rung decides — gate: the exact
-/// 2NFA stage sees zero calls — and the E13 fold workload, whose every
-/// query contains inverses, so the exact stage does all the deciding and
-/// its probe count must match E13's. "cache probes" counts cache-lookup
+/// The Lemma 1 ladder rung (stage `simple`) on the serving path. Two
+/// workloads, each counted from a cold cache with a metrics snapshot on
+/// either side: the simple-heavy batch (`e17_simple_batch`), whose every
+/// probe is a pair of one-way queries the rung decides — gate: the exact
+/// 2NFA stage sees zero calls — and the E13 fold workload, whose probes
+/// into a query with an inverse letter reach the exact stage, and whose
+/// probe count must match E13's. "cache probes" counts cache-lookup
 /// probes; the stage columns count *every* ladder call, pre-flight
 /// subsumed-branch checks included, so they can exceed the probe count.
 fn e17() -> Gate {
@@ -1074,7 +1074,7 @@ fn e17() -> Gate {
     engine.run_batch(&simple);
     engine.run_batch(&fold);
 
-    println!("## E17 — simple-fragment ladder rung: probe and fuel deltas per workload\n");
+    println!("## E17 — the Lemma 1 ladder rung: probe and fuel deltas per workload\n");
     println!(
         "| workload | cache probes | ladder: simple | full_check | syntactic | exhausted | \
          probe fuel | hit-rate | ms |"
@@ -1105,7 +1105,7 @@ fn e17() -> Gate {
     let simple = serve("simple-heavy (24q)", &simple);
     let fold = serve("fold/E13 (18q)", &fold);
     println!(
-        "\nsimple-heavy: {} of {} ladder calls ({} cache probes) decided at the polynomial rung; \
+        "\nsimple-heavy: {} of {} ladder calls ({} cache probes) decided at the Lemma 1 rung; \
          {} reached the exact stage; {} probe fuel charged",
         simple.stages[3],
         simple.stages.iter().sum::<u64>(),
@@ -1114,15 +1114,15 @@ fn e17() -> Gate {
         simple.fuel
     );
     println!(
-        "fold baseline: {} cache probes, {} ladder calls decided at the exact stage ({} fuel) — \
-         the simple rung passed on every inverse-containing pair\n",
-        fold.probes, fold.stages[4], fold.fuel
+        "fold baseline: {} cache probes; {} ladder calls with a one-way right-hand side decided \
+         at the Lemma 1 rung, {} with an inverse letter on the right at the exact stage ({} fuel)\n",
+        fold.probes, fold.stages[3], fold.stages[4], fold.fuel
     );
     match simple.stages[4] {
         0 => Ok(()),
         n => Err(format!(
-            "E17 simple-heavy batch made {n} full_check ladder calls; simple pairs must never \
-             reach the exact stage"
+            "E17 simple-heavy batch made {n} full_check ladder calls; pairs with a one-way \
+             right-hand side must never reach the exact stage"
         )),
     }
 }

@@ -436,8 +436,9 @@ pub fn e13_empty_queries() -> Vec<TwoRpq> {
 /// disjunctions, starred/plus'd disjunctions — no inverses, optionals,
 /// or starred concatenations). The pool leads with the broad `(a|b)*`
 /// superset so later entries are answered by subsumption, and the
-/// resulting cache probes are simple-vs-simple pairs the ladder's
-/// polynomial rung decides without ever reaching the exact 2NFA stage.
+/// resulting cache probes are simple-vs-simple pairs, one-way on both
+/// sides, that the ladder's Lemma 1 rung decides without ever reaching
+/// the exact 2NFA stage.
 pub fn e17_simple_batch(count: usize) -> Vec<String> {
     const POOL: [&str; 12] = [
         "(a|b)*",

@@ -12,7 +12,7 @@
 //! Two caveats keep this honest at serving time:
 //!
 //! * determinization is the paper's exponential step (§3.2), so
-//!   [`canonical_key_governed`] meters it; callers fall back to the
+//!   [`CompiledQuery::new`] meters it; callers fall back to the
 //!   syntactic key ([`syntactic_key`]) on exhaustion, degrading the cache
 //!   to exact-match rather than stalling the request path;
 //! * the key canonicalizes the *language* of the expression, not its
@@ -22,16 +22,16 @@
 //!
 //! [`CompiledQuery`] holds a query with everything the containment ladder
 //! derives from it alone, so the cache, its probes and pre-flight build
-//! those artefacts once per query instead of once per pair. It also keeps
-//! the trimmed minimal DFA the key serializes: the engine evaluates the
-//! query over it ([`CompiledQuery::automaton`]), with the query's NFA as
-//! the fallback.
+//! those artefacts once per query instead of once per pair. That includes
+//! the trimmed minimal DFA the key serializes: the ladder's Lemma 1 rung
+//! decides containment in a one-way query over it, and the engine
+//! evaluates the query over it ([`CompiledQuery::automaton`]), with the
+//! query's NFA as the fallback.
 
 use crate::rpq::TwoRpq;
 use rq_automata::dfa::DEAD;
 use rq_automata::governor::{expect_unlimited, Exhaustion, Governor};
 use rq_automata::regex::simplify;
-use rq_automata::simple::{classify, SimpleRe};
 use rq_automata::{Alphabet, Dfa, Letter, Nfa, Regex};
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -39,19 +39,11 @@ use std::fmt::Write as _;
 /// The canonical key of the empty-language query.
 pub const EMPTY_KEY: &str = "dfa:empty";
 
-/// Canonical key of `q` over `alphabet` (ungoverned; see
-/// [`canonical_key_governed`] for the metered variant the engine uses).
+/// Canonical key of `q` over `alphabet`, unmetered. The engine keys
+/// through [`CompiledQuery::new`], which meters the subset construction.
 pub fn canonical_key(q: &TwoRpq, alphabet: &Alphabet) -> String {
-    expect_unlimited(canonical_key_governed(q, alphabet, &Governor::unlimited()))
-}
-
-/// Canonical key of `q`, with the subset construction metered by `gov`.
-pub fn canonical_key_governed(
-    q: &TwoRpq,
-    alphabet: &Alphabet,
-    gov: &Governor,
-) -> Result<String, Exhaustion> {
-    simplified_key(&simplify(q.regex()), alphabet, gov).map(|(key, _)| key)
+    let gov = Governor::unlimited();
+    expect_unlimited(simplified_key(&simplify(q.regex()), alphabet, &gov)).0
 }
 
 /// A query and its containment and evaluation artefacts, built once by
@@ -64,15 +56,13 @@ pub struct CompiledQuery {
     pub(crate) regex: Regex,
     /// The canonical key, or `None` when the key budget ran out.
     pub(crate) key: Option<String>,
-    /// The simple-fragment class, or `None` outside the fragment.
-    pub(crate) class: Option<SimpleRe>,
     /// The minimal DFA the key serializes, trimmed of its sink, or `None`
     /// when the key budget ran out or the language is empty.
     dfa: Option<Dfa>,
 }
 
 impl CompiledQuery {
-    /// Simplify, key (metered by `gov`) and classify `q`.
+    /// Simplify and key `q`, the key metered by `gov`.
     pub fn new(q: &TwoRpq, alphabet: &Alphabet, gov: &Governor) -> CompiledQuery {
         let regex = simplify(q.regex());
         let (key, dfa) = match simplified_key(&regex, alphabet, gov) {
@@ -82,7 +72,6 @@ impl CompiledQuery {
         CompiledQuery {
             query: q.clone(),
             key,
-            class: classify(&regex).ok(),
             regex,
             dfa,
         }
@@ -98,7 +87,22 @@ impl CompiledQuery {
     pub fn cache_key(&self, alphabet: &Alphabet) -> String {
         self.key
             .clone()
-            .unwrap_or_else(|| syntactic_key(&self.query, alphabet))
+            .unwrap_or_else(|| render_syntactic(&self.regex, alphabet))
+    }
+
+    /// The canonical key with the trimmed minimal DFA it serializes: the
+    /// stored pair, or, when the key budget ran out at compile time, a
+    /// pair built now under `gov`.
+    pub(crate) fn key_and_dfa(
+        &self,
+        alphabet: &Alphabet,
+        gov: &Governor,
+    ) -> Result<(Cow<'_, str>, Option<Cow<'_, Dfa>>), Exhaustion> {
+        match &self.key {
+            Some(key) => Ok((Cow::Borrowed(key), self.dfa.as_ref().map(Cow::Borrowed))),
+            None => simplified_key(&self.regex, alphabet, gov)
+                .map(|(key, dfa)| (Cow::Owned(key), dfa.map(Cow::Owned))),
+        }
     }
 
     /// The automaton to evaluate the query over: the trimmed minimal DFA,
@@ -143,7 +147,12 @@ fn simplified_key(
 /// The syntactic fallback key: the simplified regex rendered through label
 /// names. Exact-match only, but never more expensive than simplification.
 pub fn syntactic_key(q: &TwoRpq, alphabet: &Alphabet) -> String {
-    format!("re:{}", simplify(q.regex()).display(alphabet))
+    render_syntactic(&simplify(q.regex()), alphabet)
+}
+
+/// The syntactic key of an already simplified `regex`.
+fn render_syntactic(regex: &Regex, alphabet: &Alphabet) -> String {
+    format!("re:{}", regex.display(alphabet))
 }
 
 /// Serialize a trimmed minimal DFA into a canonical string. [`Dfa::trim`]
@@ -229,10 +238,23 @@ mod tests {
         let mut al = Alphabet::new();
         let q = TwoRpq::parse("(a|b)(a|b)(a|b)(a|b)", &mut al).unwrap();
         let gov = Limits::unlimited().with_fuel(3).governor();
-        let e = canonical_key_governed(&q, &al, &gov).unwrap_err();
+        let e = simplified_key(&simplify(q.regex()), &al, &gov).unwrap_err();
         assert_eq!(e.resource, Resource::Fuel);
         // The fallback key is still available and deterministic.
         assert_eq!(syntactic_key(&q, &al), syntactic_key(&q, &al));
+    }
+
+    #[test]
+    fn starved_compile_keys_by_its_simplified_regex() {
+        let mut al = Alphabet::new();
+        // Simplification rewrites this text, so the fallback key must be
+        // the stored simplified regex, rendered as `syntactic_key` does.
+        let q = TwoRpq::parse("((a|b)(a|b)(a|b)(a|b) | ε)+", &mut al).unwrap();
+        let starved = Limits::unlimited().with_fuel(1).governor();
+        let compiled = CompiledQuery::new(&q, &al, &starved);
+        assert!(compiled.key.is_none());
+        assert_eq!(compiled.cache_key(&al), syntactic_key(&q, &al));
+        assert_ne!(q.regex(), &compiled.regex, "the text simplifies");
     }
 
     #[test]

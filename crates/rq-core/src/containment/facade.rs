@@ -5,26 +5,28 @@
 //! queries cannot afford to open with it. [`check_quick`] runs a ladder of
 //! successively more expensive tests, each sound on its own:
 //!
-//! 1. syntactic equality of the simplified expressions;
-//! 2. empty left-hand language (`∅ ⊑ Q` always — [`Certificate::EmptyLeft`]);
+//! 1. empty left-hand language (`∅ ⊑ Q` always — [`Certificate::EmptyLeft`]);
+//! 2. syntactic equality of the simplified expressions;
 //! 3. canonical-key equality (same minimal DFA ⟹ same word language ⟹
 //!    containment both ways), metered only for a key the compiled query
 //!    lacks;
-//! 4. the polynomial simple-fragment checker ([`super::simple`]), when
-//!    both sides classify into the SCRPQ fragment — exact in both
-//!    directions, never `Unknown` (it declines oversized instances
-//!    instead, falling through);
-//! 5. the exact fold-based checker, metered.
+//! 4. Lemma 1, whenever `Q2` is one-way (span and stage `simple`): a
+//!    forward walk cannot get past the backward edge of an inverse
+//!    letter, so `fold(L(Q2)) = L(Q2)` and `Q1 ⊑ Q2` iff
+//!    `L(Q1) ⊆ L(Q2)`, decided by [`super::rpq`]'s search over `Q2`'s
+//!    minimal DFA — exact in both directions, and unmetered;
+//! 5. the exact fold-based checker, metered, when `Q2` reads an inverse
+//!    letter.
 //!
 //! The ladder runs on [`CompiledQuery`] pairs, so the simplified regexes,
-//! canonical keys and simple-fragment classes it compares are built once
-//! per query, not once per check. Every rung runs under the caller's
-//! [`Limits`]; a budget tripped anywhere surfaces as [`Outcome::Unknown`],
-//! which cache callers treat as "no subsumption found" — the cache
-//! degrades to exact-match instead of stalling the request.
+//! canonical keys and minimal DFAs it compares are built once per query,
+//! not once per check. Every rung runs under the caller's [`Limits`]; a
+//! budget tripped anywhere surfaces as [`Outcome::Unknown`], which cache
+//! callers treat as "no subsumption found" — the cache degrades to
+//! exact-match instead of stalling the request.
 
-use super::{simple, two_rpq, Certificate, Outcome};
-use crate::canonical::{canonical_key_governed, CompiledQuery};
+use super::{rpq, two_rpq, Certificate, Outcome};
+use crate::canonical::CompiledQuery;
 use crate::rpq::TwoRpq;
 use rq_automata::governor::{Governor, Limits};
 use rq_automata::Alphabet;
@@ -74,19 +76,17 @@ pub fn check_quick_governed(
         }
         s.record("verdict", "pass");
     }
-    {
+    // The key rung hands on `Q2`'s trimmed minimal DFA for the Lemma 1
+    // rung: the stored one, or the one it had to build for a missing key.
+    let d2 = {
         let mut s = span::start("ladder.canonical_key");
         let fuel_before = gov.fuel_spent();
-        let key = |c: &CompiledQuery| match &c.key {
-            Some(k) => Ok(k.clone()),
-            None => canonical_key_governed(c.query(), alphabet, gov),
-        };
-        let keys = (key(c1), key(c2));
+        let keys = (c1.key_and_dfa(alphabet, gov), c2.key_and_dfa(alphabet, gov));
         if s.active() {
             s.record("fuel", gov.fuel_spent() - fuel_before);
         }
         match keys {
-            (Ok(k1), Ok(k2)) if k1 == k2 => {
+            (Ok((k1, _)), Ok((k2, _))) if k1 == k2 => {
                 s.record("verdict", "contained");
                 metrics::ladder_stage(metrics::Stage::CanonicalKey);
                 return Outcome::Contained(Certificate::LanguageContainment { states_explored: 0 });
@@ -96,44 +96,37 @@ pub fn check_quick_governed(
                 metrics::ladder_stage(metrics::Stage::Exhausted);
                 return Outcome::exhausted(e);
             }
-            _ => s.record("verdict", "pass"),
+            (_, Ok((_, d2))) => {
+                s.record("verdict", "pass");
+                d2
+            }
         }
-    }
+    };
     {
-        // The polynomial SCRPQ rung: exact (never Unknown) when both
-        // sides classify simple; declines — rather than guesses — when
-        // an instance is outside the fragment or over the size caps.
-        // Unmetered: its work is bounded by the simple checker's own
-        // state cap, not the caller's fuel budget.
+        // The Lemma 1 rung (span and stage `simple`): for a one-way `Q2`,
+        // `fold(L(Q2)) = L(Q2)`, so `Q1 ⊑ Q2` iff `L(Q1) ⊆ L(Q2)`. Over
+        // `Q2`'s DFA the product is unmetered, bounded by
+        // `|Q1|·|D2|·|Σ±|`; only an empty `Q2`, which has no DFA, is
+        // searched over its NFA under `gov`.
         let mut s = span::start("ladder.simple");
-        match (&c1.class, &c2.class) {
-            (Some(sl), Some(sr)) => match simple::check_simple(sl, sr, alphabet) {
-                Some((outcome, states)) => {
+        if c2.regex.is_forward_only() {
+            let a2 = c2.query().nfa();
+            match rpq::language_containment(c1.query().nfa(), d2.as_deref(), a2, alphabet, gov) {
+                Ok((outcome, states)) => {
                     s.record("states", states);
-                    s.record(
-                        "verdict",
-                        if outcome.is_contained() {
-                            "contained"
-                        } else {
-                            "not_contained"
-                        },
-                    );
+                    s.record("verdict", verdict(&outcome));
                     metrics::ladder_stage(metrics::Stage::Simple);
                     metrics::simple_result(outcome.is_contained());
                     return outcome;
                 }
-                None => {
-                    s.record("verdict", "pass");
-                    s.record("reason", "capped");
-                    metrics::simple_skipped(true);
+                Err(e) => {
+                    s.record("verdict", "unknown");
+                    metrics::ladder_stage(metrics::Stage::Exhausted);
+                    return Outcome::exhausted(e);
                 }
-            },
-            _ => {
-                s.record("verdict", "pass");
-                s.record("reason", "not_simple");
-                metrics::simple_skipped(false);
             }
         }
+        s.record("verdict", "pass");
     }
     let mut s = span::start("ladder.full_check");
     let fuel_before = gov.fuel_spent();
@@ -143,14 +136,7 @@ pub fn check_quick_governed(
     }
     match result {
         Ok(outcome) => {
-            s.record(
-                "verdict",
-                match &outcome {
-                    Outcome::Contained(_) => "contained",
-                    Outcome::NotContained(_) => "not_contained",
-                    Outcome::Unknown(_) => "unknown",
-                },
-            );
+            s.record("verdict", verdict(&outcome));
             metrics::ladder_stage(metrics::Stage::FullCheck);
             outcome
         }
@@ -162,10 +148,20 @@ pub fn check_quick_governed(
     }
 }
 
+/// The `verdict` a deciding rung records on its span.
+fn verdict(outcome: &Outcome) -> &'static str {
+    match outcome {
+        Outcome::Contained(_) => "contained",
+        Outcome::NotContained(_) => "not_contained",
+        Outcome::Unknown(_) => "unknown",
+    }
+}
+
 /// Which rung of the cheap-first ladder settled each `check_quick` call:
 /// the language-level fast paths (`empty_left`, `syntactic_eq`,
-/// `canonical_key`), the polynomial SCRPQ rung (`simple`), the full
-/// fold/2NFA pipeline (`full_check`), or a tripped budget (`exhausted`).
+/// `canonical_key`), the Lemma 1 rung for one-way right-hand sides
+/// (`simple`), the full fold/2NFA pipeline (`full_check`), or a tripped
+/// budget (`exhausted`).
 mod metrics {
     use rq_metrics::{global, Counter};
     use std::sync::{Arc, OnceLock};
@@ -202,7 +198,7 @@ mod metrics {
         cells[stage as usize].inc();
     }
 
-    /// Verdicts produced by the simple-fragment rung.
+    /// Verdicts produced by the Lemma 1 rung.
     pub(super) fn simple_result(contained: bool) {
         static CELLS: OnceLock<[Arc<Counter>; 2]> = OnceLock::new();
         let cells = CELLS.get_or_init(|| {
@@ -210,27 +206,11 @@ mod metrics {
                 global().counter_with(
                     "rq_containment_simple_total",
                     &[("result", s)],
-                    "simple-fragment fast-path verdicts, by result",
+                    "Lemma 1 rung verdicts on one-way right-hand sides, by result",
                 )
             })
         });
         cells[if contained { 0 } else { 1 }].inc();
-    }
-
-    /// Checks the simple rung passed on: the pair was outside the
-    /// fragment, or the checker declined at its size caps.
-    pub(super) fn simple_skipped(capped: bool) {
-        static CELLS: OnceLock<[Arc<Counter>; 2]> = OnceLock::new();
-        let cells = CELLS.get_or_init(|| {
-            ["not_simple", "capped"].map(|s| {
-                global().counter_with(
-                    "rq_containment_simple_skipped_total",
-                    &[("reason", s)],
-                    "simple-fragment rung pass-throughs, by reason",
-                )
-            })
-        });
-        cells[if capped { 1 } else { 0 }].inc();
     }
 }
 
@@ -320,8 +300,8 @@ mod tests {
         let star = TwoRpq::parse("a*", &mut al).unwrap();
         {
             let _g = span::install(&ctx, 0);
-            // Containment needs more than key equality, but both sides
-            // are simple — rung 4 decides without the 2NFA pipeline.
+            // Containment needs more than key equality, but `Q2` is
+            // one-way — rung 4 decides without the 2NFA pipeline.
             assert!(check_quick(&q, &star, &al, &Limits::unlimited()).is_contained());
         }
         let t = ctx.finish("ok", "");
@@ -341,7 +321,7 @@ mod tests {
         assert!(field("states").is_some(), "rung records its state count");
         assert!(
             !t.spans.iter().any(|s| s.name == "ladder.full_check"),
-            "decided at the simple rung — the exact checker never ran"
+            "decided at the Lemma 1 rung — the exact checker never ran"
         );
     }
 
@@ -356,19 +336,65 @@ mod tests {
             assert!(check_quick(&p, &zigzag, &al, &Limits::unlimited()).is_contained());
         }
         let t = ctx.finish("ok", "");
-        let simple = t
-            .spans
-            .iter()
-            .find(|s| s.name == "ladder.simple")
-            .expect("simple rung opened a span");
-        assert!(simple
-            .fields
-            .iter()
-            .any(|(k, v)| *k == "reason" && v == "not_simple"));
+        assert!(
+            t.spans.iter().any(|s| s.name == "ladder.simple"),
+            "simple rung opened a span"
+        );
         assert!(
             t.spans.iter().any(|s| s.name == "ladder.full_check"),
             "the inverse letter forces the exact checker"
         );
+    }
+
+    #[test]
+    fn one_way_right_sides_decide_at_the_lemma1_rung() {
+        // Neither side need be simple, and `Q1` may be two-way: a one-way
+        // `Q2` is enough for Lemma 1.
+        let mut al = Alphabet::new();
+        let cases = [
+            ("(a b)+", "a (b a)* b", true),
+            ("a b | (a b)+", "(a|c)(b|c) (a b)*", true),
+            ("a b- a", "(a|b)*", false),
+            ("(a b)+", "a b | a b a b", false),
+        ];
+        for (s1, s2, expect) in cases {
+            let q1 = TwoRpq::parse(s1, &mut al).unwrap();
+            let q2 = TwoRpq::parse(s2, &mut al).unwrap();
+            let ctx = span::TraceContext::start();
+            let out = {
+                let _g = span::install(&ctx, 0);
+                check_quick(&q1, &q2, &al, &Limits::unlimited())
+            };
+            assert_eq!(out.decided(), Some(expect), "{s1} ⊑ {s2}: {out}");
+            let t = ctx.finish("ok", "");
+            assert!(
+                !t.spans.iter().any(|s| s.name == "ladder.full_check"),
+                "{s1} ⊑ {s2}: decided before the exact checker"
+            );
+            if let Some(w) = out.witness() {
+                assert!(q1.contains_pair(&w.db, w.tuple[0], w.tuple[1]));
+                assert!(!q2.contains_pair(&w.db, w.tuple[0], w.tuple[1]));
+            }
+        }
+    }
+
+    #[test]
+    fn lemma1_rung_spends_no_probe_fuel_over_compiled_dfas() {
+        let mut al = Alphabet::new();
+        let q1 = TwoRpq::parse("(a b)+ | a b- a", &mut al).unwrap();
+        let q2 = TwoRpq::parse("(a|b)+ b | a (b|a)*", &mut al).unwrap();
+        let compile = |q: &TwoRpq| CompiledQuery::new(q, &al, &Governor::unlimited());
+        let (c1, c2) = (compile(&q1), compile(&q2));
+        let gov = Limits::unlimited().with_fuel(1).governor();
+        let out = check_quick_governed(&c1, &c2, &al, &gov);
+        assert!(out.is_not_contained(), "{out}");
+        assert_eq!(gov.fuel_spent(), 0);
+        // Without a stored key the key rung builds `Q2`'s DFA under the
+        // probe budget, and the rung still decides.
+        let starved = Limits::unlimited().with_fuel(1).governor();
+        let c2_keyless = CompiledQuery::new(&q2, &al, &starved);
+        let out = check_quick_governed(&c1, &c2_keyless, &al, &Governor::unlimited());
+        assert!(out.is_not_contained(), "{out}");
     }
 
     #[test]

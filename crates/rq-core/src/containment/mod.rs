@@ -4,7 +4,8 @@
 //! iff `Q1(D) ⊆ Q2(D)` for every database `D`. The checkers here follow
 //! the paper's ladder:
 //!
-//! * [`rpq`] — Lemma 1, exact (PSPACE algorithm, on the fly);
+//! * [`rpq`] — Lemma 1, exact (PSPACE algorithm, on the fly); it also
+//!   decides every 2RPQ pair whose right-hand side is one-way;
 //! * [`two_rpq`] — Lemmas 2–4 / Theorem 5, exact (fold + two-way
 //!   determinization, on the fly);
 //! * [`uc2rpq`] — Theorem 6 territory (EXPSPACE-complete): a *budgeted
@@ -40,7 +41,6 @@
 pub mod facade;
 pub mod rpq;
 pub mod rq;
-pub mod simple;
 pub mod two_rpq;
 pub mod uc2rpq;
 

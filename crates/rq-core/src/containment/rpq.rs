@@ -3,12 +3,17 @@
 //! `Q1 ⊑ Q2` iff `L(Q1) ⊆ L(Q2)` — containment of regular path queries
 //! *is* containment of regular languages, decided here by the paper's
 //! steps 1–4 with the product constructed on the fly (PSPACE).
+//!
+//! The same Lemma 1 search decides every 2RPQ pair whose right-hand side
+//! is one-way ([`language_containment`]): a forward walk cannot get past
+//! the backward edge of an inverse letter, so `fold(L(Q2)) = L(Q2)` and
+//! Lemma 2 reduces to Lemma 1 with Σ± letters read as plain symbols.
 
 use super::{semipath_db, Certificate, Outcome, Witness};
 use crate::rpq::Rpq;
-use rq_automata::containment::check_on_the_fly_governed;
+use rq_automata::containment::{check_against_dfa, check_on_the_fly_governed};
 use rq_automata::governor::expect_unlimited;
-use rq_automata::{Alphabet, Exhaustion, Governor};
+use rq_automata::{Alphabet, Dfa, Exhaustion, Governor, Nfa};
 
 /// Decide `q1 ⊑ q2`. Always returns a definite verdict; a `NotContained`
 /// witness is the path database of a *shortest* counterexample word.
@@ -24,28 +29,50 @@ pub fn check_governed(
     alphabet: &Alphabet,
     gov: &Governor,
 ) -> Result<Outcome, Exhaustion> {
-    let run = check_on_the_fly_governed(q1.as_two_rpq().nfa(), q2.as_two_rpq().nfa(), gov)?;
-    if run.contained {
-        return Ok(Outcome::Contained(Certificate::LanguageContainment {
-            states_explored: run.states_explored,
-        }));
-    }
-    let Some(word) = run.counterexample else {
-        return Ok(Outcome::unknown_with(
-            "non-containment reported without a counterexample word",
-            gov,
-        ));
+    let (q1, q2) = (q1.as_two_rpq(), q2.as_two_rpq());
+    language_containment(q1.nfa(), None, q2.nfa(), alphabet, gov).map(|(outcome, _)| outcome)
+}
+
+/// Lemma 1 on automata, the one path both [`check_governed`] and the
+/// `check_quick` ladder's `simple` rung take: decide `L(a1) ⊆ L(Q2)`,
+/// with Σ± letters read as plain symbols. The search runs over `d2`, the
+/// trimmed minimal DFA of `Q2`, when the caller has one; it is not
+/// metered, since its work is bounded by `|a1|·|d2|·|Σ±|`. Otherwise it
+/// runs over `a2`, the NFA of `Q2`, with the subset construction metered
+/// by `gov`. Returns the verdict and the number of product states
+/// explored. A refutation is the semipath database of a shortest word in
+/// `L(a1) − L(Q2)`, which is a counterexample to `Q1 ⊑ Q2` whenever `Q2`
+/// is one-way.
+pub(crate) fn language_containment(
+    a1: &Nfa,
+    d2: Option<&Dfa>,
+    a2: &Nfa,
+    alphabet: &Alphabet,
+    gov: &Governor,
+) -> Result<(Outcome, usize), Exhaustion> {
+    let run = match d2 {
+        Some(d2) => check_against_dfa(a1, d2),
+        None => check_on_the_fly_governed(a1, a2, gov)?,
     };
-    let (db, s, t) = semipath_db(&word, alphabet);
-    let description = format!(
-        "path database of the word {} (in L(Q1) − L(Q2))",
-        alphabet.word_to_string(&word)
-    );
-    Ok(Outcome::NotContained(Box::new(Witness {
-        db,
-        tuple: vec![s, t],
-        description,
-    })))
+    let states = run.states_explored;
+    let outcome = match run.counterexample {
+        None => Outcome::Contained(Certificate::LanguageContainment {
+            states_explored: states,
+        }),
+        Some(word) => {
+            let (db, s, t) = semipath_db(&word, alphabet);
+            let description = format!(
+                "semipath database of the word {} (in L(Q1) − L(Q2))",
+                alphabet.word_to_string(&word)
+            );
+            Outcome::NotContained(Box::new(Witness {
+                db,
+                tuple: vec![s, t],
+                description,
+            }))
+        }
+    };
+    Ok((outcome, states))
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The containment-based semantic result cache.
 //!
 //! Submitted queries are compiled once ([`CompiledQuery`]) into their
-//! canonical key, simplified regex and simple-fragment class; a key hit
+//! canonical key, simplified regex and minimal DFA; a key hit
 //! returns the materialized answer outright, and entries keep their
 //! compiled query so probes against them rebuild nothing. On a key miss
 //! the cache *probes* its most recently used entries with the cheap-first
@@ -572,8 +572,8 @@ mod tests {
             probe_limits: Limits::unlimited().with_fuel(1),
             ..CacheConfig::default()
         });
-        // The inverse letter keeps the pair out of the simple fragment, so
-        // only the metered exact stage can decide it.
+        // The inverse letter in `Q2` keeps the pair off the Lemma 1 rung,
+        // so only the metered exact stage can decide it.
         let big = TwoRpq::parse("(a|a-)+", &mut al).unwrap();
         let small = TwoRpq::parse("a+", &mut al).unwrap();
         let kb = cache.key_of(&big, &al);

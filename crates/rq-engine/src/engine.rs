@@ -32,7 +32,8 @@ pub struct EngineConfig {
     /// Per-worker budget for one query evaluation. Fuel is metered per
     /// worker; the wall-clock deadline spans the whole query.
     pub limits: Limits,
-    /// Semantic-cache tuning (capacity, probe budgets, key mode).
+    /// Semantic-cache tuning: capacity, the key and probe budgets, and
+    /// how many entries a key miss probes.
     pub cache: CacheConfig,
     /// Run the `rq-analyze` pre-flight before keying: provably-empty
     /// queries short-circuit to ∅ without touching the pool, and union

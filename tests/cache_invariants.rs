@@ -175,7 +175,7 @@ fn starved_probes_count_as_exhausted_not_miss_evidence() {
         probe_limits: Limits::unlimited().with_fuel(1),
         ..CacheConfig::default()
     });
-    // The inverse letter keeps the pair out of the simple fragment, so
+    // The inverse letter in `Q2` keeps the pair off the Lemma 1 rung, so
     // only the metered exact stage can decide it.
     let big = TwoRpq::parse("(a|a-)+", &mut al).unwrap();
     let small = TwoRpq::parse("a+", &mut al).unwrap();
@@ -207,9 +207,9 @@ fn starved_probes_count_as_exhausted_not_miss_evidence() {
 
 #[test]
 fn starved_probes_still_decide_simple_pairs_through_compiled_artefacts() {
-    // Entries keep their compiled keys and simple-fragment classes, so a
-    // probe on a simple pair spends no fuel: the stored keys differ and
-    // the unmetered simple rung proves `a+ ⊑ (a|b)+` even at fuel 1.
+    // Entries keep their compiled keys and minimal DFAs, so a probe into
+    // a one-way query spends no fuel: the stored keys differ and the
+    // unmetered Lemma 1 rung proves `a+ ⊑ (a|b)+` even at fuel 1.
     let db = generate::random_gnm(10, 20, &["a", "b"], 42);
     let mut al = db.alphabet().clone();
     let mut cache = SemanticCache::new(CacheConfig {

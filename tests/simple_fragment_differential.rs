@@ -1,25 +1,30 @@
-//! Differential suite pinning the polynomial simple-fragment containment
-//! checker against the exact 2NFA checker.
+//! Differential suite pinning the `check_quick` ladder on the simple
+//! fragment (SCRPQs) against the exact 2NFA checker.
 //!
-//! The simple rung's correctness claim is strong — *exact in both
+//! Simple-fragment queries are one-way by construction, so the ladder
+//! decides every such pair at its Lemma 1 rung (the `ladder.simple`
+//! span): one product of `Q1`'s NFA with `Q2`'s minimal DFA, polynomial
+//! in their sizes. The rung's claim is strong — *exact in both
 //! directions, never `Unknown`* — and rests on the forward-only word
-//! semantics argument, not on shared machinery with the exact checker.
+//! semantics argument, not on machinery shared with the exact checker.
 //! So we generate random simple-fragment regexes (concatenations of
 //! letters, letter disjunctions, starred/plus'd disjunctions over up to
-//! three labels), classify them, and compare [`check_simple`] against
+//! three labels), classify them, and compare [`check_quick`] against
 //! [`two_rpq::check`] in both directions on every pair. The suite
 //! scales with `PROPTEST_CASES` like the metamorphic suite; at the
 //! default 32 cases it compares 32 × 32 = 1024 pairs (2048 directed
 //! checks), which covers the acceptance floor of ≥1000 generated pairs
 //! with zero disagreements. Failures reproduce from the printed trial
-//! number.
+//! number. `tests/lemma1_differential.rs` also compares one-way pairs
+//! outside the fragment and two-way left-hand sides.
 
 use regular_queries::automata::random::SplitMix64;
 use regular_queries::automata::simple::classify;
-use regular_queries::automata::{Alphabet, LabelId, Letter, Regex};
-use regular_queries::core::containment::simple::check_simple;
+use regular_queries::automata::{Alphabet, LabelId, Letter, Limits, Regex};
+use regular_queries::core::containment::facade::check_quick;
 use regular_queries::core::containment::two_rpq;
 use regular_queries::core::TwoRpq;
+use regular_queries::metrics::span::{self, TraceContext};
 
 /// Per-property sample count: `PROPTEST_CASES` or 32.
 fn cases() -> u64 {
@@ -61,23 +66,27 @@ fn polynomial_checker_agrees_with_the_exact_checker_on_generated_pairs() {
     let al = Alphabet::from_names(["a", "b", "c"]);
     let mut rng = SplitMix64::new(0x51AB_1E00);
     let mut compared = 0usize;
-    let mut declined = 0usize;
+    let mut escalated = 0usize;
     let (mut contained, mut not_contained) = (0usize, 0usize);
     for trial in 0..cases() {
         for pair in 0..32 {
             let r1 = random_simple_regex(&mut rng);
             let r2 = random_simple_regex(&mut rng);
-            let s1 = classify(&r1).expect("generator stays in the fragment");
-            let s2 = classify(&r2).expect("generator stays in the fragment");
-            let q1 = TwoRpq::new(r1.clone());
-            let q2 = TwoRpq::new(r2.clone());
+            classify(&r1).expect("generator stays in the fragment");
+            classify(&r2).expect("generator stays in the fragment");
+            let q1 = TwoRpq::new(r1);
+            let q2 = TwoRpq::new(r2);
             compared += 1;
-            for (dir, sl, sr, ql, qr) in [("⊑", &s1, &s2, &q1, &q2), ("⊒", &s2, &s1, &q2, &q1)]
-            {
-                let Some((fast, _states)) = check_simple(sl, sr, &al) else {
-                    declined += 1;
-                    continue;
+            for (dir, ql, qr) in [("⊑", &q1, &q2), ("⊒", &q2, &q1)] {
+                let ctx = TraceContext::start();
+                let fast = {
+                    let _g = span::install(&ctx, 0);
+                    check_quick(ql, qr, &al, &Limits::unlimited())
                 };
+                let trace = ctx.finish("ok", "");
+                if trace.spans.iter().any(|s| s.name == "ladder.full_check") {
+                    escalated += 1;
+                }
                 let exact = two_rpq::check(ql, qr, &al);
                 assert_eq!(
                     fast.decided(),
@@ -89,7 +98,7 @@ fn polynomial_checker_agrees_with_the_exact_checker_on_generated_pairs() {
                 );
                 assert!(
                     fast.decided().is_some(),
-                    "trial {trial} pair {pair} {dir}: the simple checker must never be Unknown"
+                    "trial {trial} pair {pair} {dir}: the simple rung must never be Unknown"
                 );
                 match fast.decided() {
                     Some(true) => contained += 1,
@@ -116,8 +125,8 @@ fn polynomial_checker_agrees_with_the_exact_checker_on_generated_pairs() {
         "acceptance floor: ≥1000 generated pairs, got {compared}"
     );
     assert_eq!(
-        declined, 0,
-        "tiny generated instances must never hit the size caps"
+        escalated, 0,
+        "simple-fragment pairs must never reach the exact stage"
     );
     // The generator must exercise both verdicts, or agreement is vacuous.
     assert!(contained > 50, "only {contained} contained verdicts");
@@ -129,11 +138,9 @@ fn polynomial_checker_agrees_with_the_exact_checker_on_generated_pairs() {
 
 #[test]
 fn quick_ladder_routes_simple_pairs_without_disagreement() {
-    // End-to-end: the full ladder (which now decides these pairs at the
+    // End-to-end: the full ladder (which decides these pairs at the
     // simple rung) agrees with the exact checker too — the rung is a
     // drop-in, not a semantic change.
-    use regular_queries::core::containment::facade::check_quick;
-    use regular_queries::prelude::Limits;
     let al = Alphabet::from_names(["a", "b", "c"]);
     let mut rng = SplitMix64::new(0x51AB_1E01);
     for trial in 0..cases() {

@@ -80,10 +80,10 @@ fn subsumed_query_traces_every_stage() {
     assert_eq!(contained_probe.parent, Some(lookup.id));
     assert!(field(contained_probe, "fuel").is_some());
 
-    // …whose deciding ladder rung (the polynomial simple rung — both
-    // `p p` and `p*` are in the SCRPQ fragment, so the probe never
-    // reaches the exact 2NFA stage) is a child span annotated with
-    // verdict and explored state count.
+    // …whose deciding ladder rung (the Lemma 1 rung, span `ladder.simple`
+    // — `p*` is one-way, so the probe never reaches the exact 2NFA
+    // stage) is a child span annotated with verdict and explored state
+    // count.
     let simple = trace
         .spans
         .iter()
@@ -101,7 +101,7 @@ fn subsumed_query_traces_every_stage() {
     );
     assert!(
         !trace.spans.iter().any(|s| s.name == "ladder.full_check"),
-        "a simple-fragment probe never escalates to the exact checker"
+        "a probe into a one-way query never escalates to the exact checker"
     );
 
     // The superset re-evaluation shows up as eval → stripe → BFS spans

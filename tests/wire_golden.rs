@@ -169,7 +169,7 @@ fn lint_json_report_is_byte_exact() {
             r#""notes":["containment proven by the quick ladder (Lemmas 2–4); the engine's pre-flight drops such branches before cache keying"]},"#,
             r#"{"rule":"RQA007","slug":"non-simple-subterm","severity":"info","message":"query is outside the simple fragment: subterm `a*a*` is a union branch that is not a single letter (unions are simple only as letter disjunctions)","#,
             r#""span":{"line":1,"column":1},"#,
-            r#""notes":["containment probes for this query escalate past the ladder's polynomial simple rung to the exact 2NFA checker"]}]}]"#,
+            r#""notes":["the query is one-way, so containment probes into it are still decided by the ladder's Lemma 1 rung over its minimal DFA"]}]}]"#,
             "\n",
         )
     );
