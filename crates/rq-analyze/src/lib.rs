@@ -12,7 +12,8 @@
 //!   language, vacuous union branches, dead letter occurrences (via a
 //!   position automaton), fold-redundant inverse detours (Lemma 2), and
 //!   union branches subsumed by siblings (decided with the containment
-//!   facade's `check_quick`).
+//!   facade's `check_quick`), plus an info note naming the ladder stage
+//!   that decides probes into the query (one-way or not).
 //! * [`cq::lint_uc2rpq`] — conjunctive-level lints on UC2RPQs:
 //!   unsatisfiable atoms, disconnected body variables, duplicate and
 //!   subsumed disjuncts.
@@ -82,7 +83,7 @@ pub const RULES: &[RuleInfo] = &[
         slug: "dead-occurrence",
         severity: Severity::Warning,
         class: "automata",
-        justification: "position automaton: an occurrence no accepting run reads never matches an edge; dead states also inflate the Lemma 3 fold 2NFA by a factor of |Σ±|+1",
+        justification: "position automaton: an occurrence no accepting run reads never matches an edge; compilation trims it, so it is noise in the query text that no automaton reads",
         complexity: "O(n²)",
     },
     RuleInfo {
@@ -98,23 +99,23 @@ pub const RULES: &[RuleInfo] = &[
         slug: "subsumed-union-branch",
         severity: Severity::Warning,
         class: "automata",
-        justification: "if L(rᵢ) ⊆ L(rⱼ) (decided via the 2NFA containment ladder, Lemmas 2–4) the branch rᵢ is redundant",
+        justification: "if rᵢ ⊑ rⱼ the branch rᵢ is redundant; the quick ladder decides it by the Lemma 1 rung when rⱼ is one-way and by the exact fold/2NFA stage (Lemmas 2–4) when rⱼ reads an inverse letter",
         complexity: "O(k²·c) for k branches",
     },
     RuleInfo {
         id: "RQA006",
-        slug: "simple-fragment",
+        slug: "one-way-query",
         severity: Severity::Info,
         class: "automata",
-        justification: "the query is in the SCRPQ fragment (Figueira et al. 2020): containment drops from EXPSPACE to polynomial, and since the fragment is one-way the ladder's Lemma 1 rung decides probes into it without the 2NFA pipeline",
+        justification: "a one-way Q has fold(L(Q)) = L(Q) (Lemma 2), so the ladder's Lemma 1 rung decides probes into it over its minimal DFA",
         complexity: "O(n)",
     },
     RuleInfo {
         id: "RQA007",
-        slug: "non-simple-subterm",
+        slug: "inverse-letter",
         severity: Severity::Info,
         class: "automata",
-        justification: "one subterm excludes the query from the SCRPQ fragment and its polynomial containment bounds; probes into a one-way query still stop at the ladder's Lemma 1 rung, and only an inverse letter sends them to the exact 2NFA checker; the witness pinpoints the offending subterm",
+        justification: "Q1 ⊑ Q iff L(Q1) ⊆ fold(L(Q)) (Lemma 2), and fold(L(Q)) = L(Q) is guaranteed only for a one-way Q, so probes into a query with an inverse letter reach the exact fold/2NFA stage; the span points at the first inverse letter",
         complexity: "O(n)",
     },
     RuleInfo {

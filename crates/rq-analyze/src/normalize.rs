@@ -5,8 +5,9 @@
 //! 1. **Empty short-circuit.** If `L(Q) = ∅` the answer is ∅ on every
 //!    database (§2.1) — no evaluation, no cache traffic.
 //! 2. **Subsumed-branch elimination.** For a top-level union, any branch
-//!    `rᵢ` with `L(rᵢ) ⊆ L(rⱼ)` for a *kept* sibling `rⱼ` (decided by the
-//!    containment facade's quick ladder, Lemmas 2–4) is dropped: branch
+//!    `rᵢ` with `rᵢ ⊑ rⱼ` for a *kept* sibling `rⱼ` (decided by the
+//!    containment facade's quick ladder: Lemma 1 for a one-way `rⱼ`,
+//!    Lemmas 2–4 otherwise) is dropped: branch
 //!    answers satisfy `Qᵢ(D) ⊆ Qⱼ(D)` on every `D`, so the union's
 //!    answers are unchanged. Dropping *is* visible at the word-language
 //!    level (e.g. `p | p p⁻ p` becomes `p p⁻ p`), which is exactly why it

@@ -4,7 +4,6 @@ use crate::diag;
 use crate::diag::{Report, Span};
 use crate::normalize::subsumed_branches;
 use rq_automata::regex::parse_with_spans;
-use rq_automata::simple::classify;
 use rq_automata::{Alphabet, LabelId, Letter, Limits, Nfa, Regex};
 use rq_core::TwoRpq;
 
@@ -16,8 +15,8 @@ pub fn lint_two_rpq(q: &TwoRpq, alphabet: &Alphabet, limits: &Limits) -> Report 
 
 /// [`lint_two_rpq`] with the query's source text, when the caller still
 /// has it. The text is only used to attach source spans to diagnostics
-/// whose witness is a subterm — currently `RQA007`, whose offending
-/// subterm is located by re-parsing `source` with a span trace.
+/// whose witness is a subterm — currently `RQA007`, whose first inverse
+/// letter is located by re-parsing `source` with a span trace.
 pub fn lint_two_rpq_with_source(
     q: &TwoRpq,
     source: Option<&str>,
@@ -47,7 +46,7 @@ pub fn lint_two_rpq_with_source(
     dead_occurrences(regex, alphabet, &mut report);
     fold_redundant_inverses(regex, alphabet, &mut report);
     subsumed_union_branches(regex, alphabet, limits, &mut report);
-    simple_fragment(regex, source, alphabet, &mut report);
+    ladder_route(regex, source, alphabet, &mut report);
     report
 }
 
@@ -122,13 +121,10 @@ fn dead_occurrences(e: &Regex, alphabet: &Alphabet, report: &mut Report) {
                     dead.join(", ")
                 ),
             )
-            .with_note(format!(
-                "dead occurrences bloat the compiled NFA, and the Lemma 3 fold 2NFA inflates \
-                 every NFA state into |Σ±|+1 = {} states, so the containment checker pays \
-                 {}-fold for each one",
-                alphabet.sigma_pm_len() + 1,
-                alphabet.sigma_pm_len() + 1,
-            )),
+            .with_note(
+                "compilation trims dead occurrences away, so no evaluation or containment \
+                 automaton ever reads them: they only make the query say more than it means",
+            ),
         );
     }
 }
@@ -194,61 +190,68 @@ fn subsumed_union_branches(e: &Regex, alphabet: &Alphabet, limits: &Limits, repo
                 ),
             )
             .with_note(
-                "containment proven by the quick ladder (Lemmas 2–4); the engine's pre-flight \
-                 drops such branches before cache keying",
+                "containment proven by the quick ladder (Lemma 1 for a one-way subsumer, \
+                 Lemmas 2–4 otherwise); the engine's pre-flight drops such branches before \
+                 cache keying",
             ),
         );
     }
 }
 
-/// RQA006 / RQA007 — membership in the simple (SCRPQ) fragment. Info
-/// either way: RQA006 announces that the fragment's polynomial
-/// containment bounds apply; RQA007 pinpoints the first subterm outside
-/// it, and notes whether containment probes into the query still stop at
-/// the ladder's Lemma 1 rung (it is one-way) or reach the exact 2NFA
-/// checker (it reads an inverse letter). Runs on the query as written,
-/// which is also what lets the witness subterm be located in `source`
+/// RQA006 / RQA007 — whether the query reads an inverse letter, the one
+/// bit of its shape the containment ladder routes on. By Lemma 2,
+/// `Q1 ⊑ Q` iff `L(Q1) ⊆ fold(L(Q))`, and `fold(L(Q)) = L(Q)` when `Q`
+/// is one-way, so probes into a one-way query (RQA006) are decided by the
+/// Lemma 1 rung over its minimal DFA, while probes into a query with an
+/// inverse letter (RQA007) reach the exact fold/2NFA stage. Info either
+/// way. RQA007 points at the first inverse letter, located in `source`
 /// when the caller still has the text.
-fn simple_fragment(e: &Regex, source: Option<&str>, alphabet: &Alphabet, report: &mut Report) {
-    match classify(e) {
-        Ok(s) => {
-            report.push(diag(
+fn ladder_route(e: &Regex, source: Option<&str>, alphabet: &Alphabet, report: &mut Report) {
+    // `None` exactly when `e.is_forward_only()`.
+    let Some(inverse) = first_inverse_letter(e) else {
+        report.push(
+            diag(
                 "RQA006",
-                format!(
-                    "query is in the simple fragment ({}) — containment/boundedness fast \
-                     paths apply",
-                    s.display(alphabet)
-                ),
-            ));
-        }
-        Err(v) => {
-            let mut d = diag(
-                "RQA007",
-                format!(
-                    "query is outside the simple fragment: {}",
-                    v.display(alphabet)
-                ),
+                "query is one-way: containment probes into it are decided by the ladder's \
+                 Lemma 1 rung over its minimal DFA",
             )
-            .with_note(if e.is_forward_only() {
-                "the query is one-way, so containment probes into it are still decided by \
-                 the ladder's Lemma 1 rung over its minimal DFA"
-            } else {
-                "the query reads an inverse letter, so containment probes into it escalate \
-                 past the ladder's Lemma 1 rung to the exact 2NFA checker"
-            });
-            if let Some(span) = source.and_then(|src| locate_subterm(src, &v.subterm, alphabet)) {
-                d = d.with_span(span);
-            }
-            report.push(d);
-        }
+            .with_note("fold(L(Q)) = L(Q) for a one-way Q (Lemma 2), so Q1 ⊑ Q iff L(Q1) ⊆ L(Q)"),
+        );
+        return;
+    };
+    let mut d = diag(
+        "RQA007",
+        format!(
+            "query reads the inverse letter `{}`: containment probes into it reach the exact \
+             fold/2NFA stage",
+            alphabet.letter_name(inverse)
+        ),
+    )
+    .with_note("Q1 ⊑ Q iff L(Q1) ⊆ fold(L(Q)) (Lemma 2), decided over the Lemma 3 fold 2NFA");
+    if let Some(span) =
+        source.and_then(|src| locate_subterm(src, &Regex::Letter(inverse), alphabet))
+    {
+        d = d.with_span(span);
+    }
+    report.push(d);
+}
+
+/// The leftmost inverse letter of `e`, which is also its leftmost one in
+/// the source text: the parser keeps operands in source order.
+fn first_inverse_letter(e: &Regex) -> Option<Letter> {
+    match e {
+        Regex::Letter(l) if l.inverse => Some(*l),
+        Regex::Concat(v) | Regex::Union(v) => v.iter().find_map(first_inverse_letter),
+        Regex::Star(p) | Regex::Plus(p) | Regex::Optional(p) => first_inverse_letter(p),
+        _ => None,
     }
 }
 
-/// Find the narrowest source span whose parse result equals `subterm`,
-/// by re-parsing `source` with a span trace against a scratch copy of
-/// the alphabet (existing labels keep their ids, so structural equality
-/// is meaningful). Byte offsets become 1-based columns on line 1; batch
-/// front-ends rebase the line.
+/// Find the narrowest source span whose parse result equals `subterm`
+/// (the leftmost on a tie), by re-parsing `source` with a span trace
+/// against a scratch copy of the alphabet (existing labels keep their
+/// ids, so structural equality is meaningful). Byte offsets become
+/// 1-based columns on line 1; batch front-ends rebase the line.
 fn locate_subterm(source: &str, subterm: &Regex, alphabet: &Alphabet) -> Option<Span> {
     let mut scratch = alphabet.clone();
     let (_, trace) = parse_with_spans(source, &mut scratch).ok()?;
@@ -280,7 +283,7 @@ mod tests {
     #[test]
     fn clean_queries_draw_only_fragment_info() {
         // No warning-or-worse finding; the only diagnostics are the
-        // always-on RQA006/RQA007 fragment classification (info).
+        // always-on RQA006/RQA007 ladder-route notes (info).
         for text in ["a", "(a|b)*", "a b- a*", "a+ (b | a b)"] {
             let r = lint_text(text);
             assert!(
@@ -302,27 +305,30 @@ mod tests {
 
     #[test]
     fn simple_fragment_fires_rqa006_with_the_atom_decomposition() {
-        let r = lint_text("a (a|b)*");
-        assert_eq!(rules(&r), ["RQA006"]);
-        assert!(
-            r.diagnostics[0].message.contains("D(a)·St(a+b)"),
-            "{}",
-            r.diagnostics[0].message
-        );
+        // Every one-way query draws RQA006, whatever its shape: letter
+        // disjunctions, repeated words, optionals.
+        for text in ["a (a|b)*", "(a b)*", "a? | b b"] {
+            let r = lint_text(text);
+            assert_eq!(rules(&r), ["RQA006"], "{text}");
+            assert!(
+                r.diagnostics[0].message.contains("Lemma 1 rung"),
+                "{}",
+                r.diagnostics[0].message
+            );
+        }
     }
 
     #[test]
     fn non_simple_query_fires_rqa007_with_a_witness_span() {
         let (mut alphabet, limits) = setup();
-        let source = "a (b c)* a";
+        let source = "a (b c-)* a";
         let q = TwoRpq::parse(source, &mut alphabet).unwrap();
         let r = lint_two_rpq_with_source(&q, Some(source), &alphabet, &limits);
         assert_eq!(rules(&r), ["RQA007"]);
         let d = &r.diagnostics[0];
-        // The offending subterm is the star's body `b c`, which starts
-        // at byte 3 → column 4.
-        assert_eq!(d.span, Some(Span::new(1, 4)), "{:?}", d);
-        assert!(d.message.contains("repetition"), "{}", d.message);
+        // The first inverse letter `c-` starts at byte 5 → column 6.
+        assert_eq!(d.span, Some(Span::new(1, 6)), "{:?}", d);
+        assert!(d.message.contains("`c-`"), "{}", d.message);
         // Without source text the diagnostic still fires, just span-less.
         let r = lint_two_rpq(&q, &alphabet, &limits);
         assert_eq!(r.diagnostics[0].span, None);
@@ -330,13 +336,17 @@ mod tests {
 
     #[test]
     fn inverse_letters_exclude_the_simple_fragment() {
-        let r = lint_text("a b- a*");
+        // The leftmost inverse letter is the witness, even when a later
+        // one sorts first.
+        let (mut alphabet, limits) = setup();
+        let source = "a b- a-";
+        let q = TwoRpq::parse(source, &mut alphabet).unwrap();
+        let r = lint_two_rpq_with_source(&q, Some(source), &alphabet, &limits);
         assert_eq!(rules(&r), ["RQA007"]);
-        assert!(
-            r.diagnostics[0].message.contains("inverse"),
-            "{}",
-            r.diagnostics[0].message
-        );
+        let d = &r.diagnostics[0];
+        assert_eq!(d.span, Some(Span::new(1, 3)), "{:?}", d);
+        assert!(d.message.contains("`b-`"), "{}", d.message);
+        assert!(d.message.contains("exact fold/2NFA stage"), "{}", d.message);
     }
 
     #[test]
@@ -355,11 +365,13 @@ mod tests {
             TwoRpq::parse("b", &mut alphabet).unwrap().regex().clone(),
             Regex::Empty,
         ]);
-        let q = TwoRpq::new(Regex::Union(vec![a, dead]));
+        let q = TwoRpq::new(Regex::Union(vec![a.clone(), dead]));
         let r = lint_two_rpq(&q, &alphabet, &limits);
         assert!(rules(&r).contains(&"RQA002"), "{:?}", r.diagnostics);
-        // The `b` inside the dead branch is also a dead occurrence.
+        // The `b` inside the dead branch is also a dead occurrence, and
+        // RQA003's note holds: compilation trims it away.
         assert!(rules(&r).contains(&"RQA003"), "{:?}", r.diagnostics);
+        assert_eq!(q.nfa().num_states(), TwoRpq::new(a).nfa().num_states());
     }
 
     #[test]
@@ -376,7 +388,7 @@ mod tests {
     fn subsumed_branch_fires_rqa005() {
         // a ⊑ a? — branch 0 is subsumed (a? also matches ε).
         let r = lint_text("a | a?");
-        assert_eq!(rules(&r), ["RQA005", "RQA007"]);
+        assert_eq!(rules(&r), ["RQA005", "RQA006"]);
         assert!(r.diagnostics[0].message.contains("branch #0"));
         // Fold subsumption through the ladder: a ⊑ a a- a. The detour
         // branch itself also (correctly) draws the RQA004 fold warning.

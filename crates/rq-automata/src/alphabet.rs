@@ -143,11 +143,6 @@ impl Alphabet {
             .chain(self.labels().map(Letter::backward))
     }
 
-    /// Size of Σ±.
-    pub fn sigma_pm_len(&self) -> usize {
-        2 * self.names.len()
-    }
-
     /// Render a letter, using `-` as the ASCII inverse marker (`r-` for r⁻).
     pub fn letter_name(&self, l: Letter) -> String {
         if l.inverse {
@@ -217,14 +212,13 @@ mod tests {
         let a = Alphabet::from_names(["r", "s"]);
         let pm: Vec<Letter> = a.sigma_pm().collect();
         assert_eq!(pm.len(), 4);
-        assert_eq!(a.sigma_pm_len(), 4);
         assert!(pm.contains(&Letter::backward(LabelId(1))));
     }
 
     #[test]
     fn dense_index_is_a_bijection() {
         let a = Alphabet::from_names(["r", "s", "t"]);
-        let mut seen = vec![false; a.sigma_pm_len()];
+        let mut seen = vec![false; 2 * a.len()];
         for l in a.sigma_pm() {
             let i = l.dense_index(a.len());
             assert!(!seen[i]);

@@ -53,7 +53,6 @@ pub mod nfa;
 pub mod random;
 pub mod regex;
 pub mod shepherdson;
-pub mod simple;
 pub mod to_regex;
 pub mod twonfa;
 

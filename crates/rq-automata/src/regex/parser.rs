@@ -49,7 +49,7 @@ pub fn parse(input: &str, alphabet: &mut Alphabet) -> Result<Regex, ParseError> 
 ///
 /// The recorded subterms are the *lowered* results of the smart
 /// constructors, so a consumer holding some subexpression of the parsed
-/// regex (e.g. a classifier witness) can look up where it came from by
+/// regex (e.g. a lint witness) can look up where it came from by
 /// structural equality; when several trace entries match, the narrowest
 /// span is the tightest source location. Trailing whitespace is trimmed
 /// from every recorded span.

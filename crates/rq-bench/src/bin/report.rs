@@ -1055,15 +1055,22 @@ fn delta(before: &Snapshot, after: &Snapshot) -> Delta {
 /// The Lemma 1 ladder rung (stage `simple`) on the serving path. Two
 /// workloads, each counted from a cold cache with a metrics snapshot on
 /// either side: the simple-heavy batch (`e17_simple_batch`), whose every
-/// probe is a pair of one-way queries the rung decides — gate: the exact
-/// 2NFA stage sees zero calls — and the E13 fold workload, whose probes
-/// into a query with an inverse letter reach the exact stage, and whose
-/// probe count must match E13's. "cache probes" counts cache-lookup
-/// probes; the stage columns count *every* ladder call, pre-flight
-/// subsumed-branch checks included, so they can exceed the probe count.
+/// probe is a pair of one-way queries the rung decides — gate: every pool
+/// entry is one-way and the exact 2NFA stage sees zero calls — and the
+/// E13 fold workload, whose probes into a query with an inverse letter
+/// reach the exact stage, and whose probe count must match E13's. "cache
+/// probes" counts cache-lookup probes; the stage columns count *every*
+/// ladder call, pre-flight subsumed-branch checks included, so they can
+/// exceed the probe count.
 fn e17() -> Gate {
     let engine = engine(e10_graph(100, 3), 2);
-    let simple = parse_all(&engine, &e17_simple_batch(24));
+    let pool = e17_simple_batch(24);
+    let simple = parse_all(&engine, &pool);
+    if let Some((text, _)) = pool.iter().zip(&simple).find(|(_, q)| !q.is_forward_only()) {
+        return Err(format!(
+            "E17's pool must be one-way for its gate to hold, but `{text}` reads an inverse letter"
+        ));
+    }
     let mut fold: Vec<TwoRpq> = Vec::new();
     for (_, detour, union) in e13_fold_pairs() {
         fold.push(detour);

@@ -428,17 +428,16 @@ pub fn e13_empty_queries() -> Vec<TwoRpq> {
 }
 
 // ---------------------------------------------------------------------
-// E17: simple-fragment ladder workloads
+// E17: Lemma 1 rung ladder workloads
 // ---------------------------------------------------------------------
 
-/// A simple-heavy serving batch: `count` 2RPQ strings over `{a, b}` that
-/// all sit inside the SCRPQ fragment (forward letters, letter
-/// disjunctions, starred/plus'd disjunctions — no inverses, optionals,
-/// or starred concatenations). The pool leads with the broad `(a|b)*`
-/// superset so later entries are answered by subsumption, and the
-/// resulting cache probes are simple-vs-simple pairs, one-way on both
-/// sides, that the ladder's Lemma 1 rung decides without ever reaching
-/// the exact 2NFA stage.
+/// A simple-heavy serving batch: `count` 2RPQ strings over `{a, b}`, every
+/// one of them one-way (no inverse letter). The pool leads with the broad
+/// `(a|b)*` superset so later entries are answered by subsumption, and
+/// the resulting cache probes are pairs with a one-way right-hand side,
+/// which the ladder's Lemma 1 rung decides without ever reaching the
+/// exact 2NFA stage. `report`'s E17 gate rests on that: it refuses a pool
+/// entry that reads an inverse letter.
 pub fn e17_simple_batch(count: usize) -> Vec<String> {
     const POOL: [&str; 12] = [
         "(a|b)*",

@@ -5,7 +5,8 @@
 //! JSON round-trip. Property: the engine pre-flight normalizer is
 //! answer-preserving — for seeded-random queries the normalized query is
 //! *equivalent* to the original, certified by the exact 2NFA containment
-//! check in both directions, and lint-clean queries are left untouched.
+//! check in both directions, lint-clean queries are left untouched, and
+//! RQA006/RQA007 split the same queries exactly on inverse letters.
 
 use regular_queries::analyze::{
     lint_program, lint_two_rpq, lint_uc2rpq, preflight, PreflightAction, Report, Severity, RULES,
@@ -53,7 +54,7 @@ fn golden_reports() -> Vec<(&'static str, Report)> {
         ("RQA004", lint_rpq("a a- a")),
         ("RQA005", lint_rpq("a | a?")),
         ("RQA006", lint_rpq("a (a|b)*")),
-        ("RQA007", lint_rpq("(a b)*")),
+        ("RQA007", lint_rpq("a b-")),
         ("RQC001", lint_cq("Q(x, y) :- [a ∅](x, y).")),
         ("RQC002", lint_cq("Q(x, z) :- [a](x, y), [b](z, w).")),
         (
@@ -159,7 +160,7 @@ fn preflight_normalization_preserves_equivalence_on_random_queries() {
         repeat_prob: 0.3,
     };
     let mut rng = SplitMix64::new(0x5eed_2026);
-    let mut rewritten = 0;
+    let (mut rewritten, mut routes) = (0, [0; 2]);
     for i in 0..60 {
         let base = random_regex(&mut rng, &cfg);
         // Bias toward top-level unions (the only shape pre-flight
@@ -170,6 +171,18 @@ fn preflight_normalization_preserves_equivalence_on_random_queries() {
             base
         };
         let q = TwoRpq::new(regex);
+        // RQA006 fires on every one-way query and RQA007 on every query
+        // that reads an inverse letter: the one bit the ladder routes on.
+        let report = lint_two_rpq(&q, &al, &limits);
+        let fired = |id: &str| report.diagnostics.iter().any(|d| d.rule == id);
+        let one_way = q.is_forward_only();
+        assert_eq!(
+            (fired("RQA006"), fired("RQA007")),
+            (one_way, !one_way),
+            "iteration {i}: {}",
+            q.regex().display(&al)
+        );
+        routes[one_way as usize] += 1;
         let p = preflight(&q, &al, &limits);
         assert_ne!(
             p.action,
@@ -183,23 +196,26 @@ fn preflight_normalization_preserves_equivalence_on_random_queries() {
             // The satellite contract: lint-clean queries are fixed points
             // of the normalizer, so anything rewritten must have lint
             // findings (at least the RQA005 that justified the drop).
-            let report = lint_two_rpq(&q, &al, &limits);
             assert!(
-                report.diagnostics.iter().any(|d| d.rule == "RQA005"),
+                fired("RQA005"),
                 "rewritten without RQA005: {}",
                 q.regex().display(&al)
             );
         }
     }
     assert!(rewritten > 0, "the biased draws should hit some rewrites");
+    assert!(
+        routes.iter().all(|&n| n > 0),
+        "both routes drawn: {routes:?}"
+    );
 }
 
 #[test]
 fn lint_clean_queries_are_normalizer_fixed_points() {
     // Hand-picked lint-clean queries, including paper shapes (§2.1–§2.2).
     // "Clean" means no warning-or-worse finding: the info-level
-    // RQA006/RQA007 fragment classification fires on every query by
-    // design and never implies a rewrite.
+    // RQA006/RQA007 ladder-route note fires on every query by design and
+    // never implies a rewrite.
     let mut al = Alphabet::from_names(["a", "b"]);
     for text in [
         "a",

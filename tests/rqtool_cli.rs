@@ -243,12 +243,12 @@ fn lint_reports_many_distinct_rules_and_json_round_trips() {
 
 #[test]
 fn lint_clean_input_exits_zero() {
-    // "Clean" means nothing warning-or-worse: the info-level fragment
-    // classification (RQA006 here — the query is simple) always fires
-    // and must not affect the exit code, even under --deny-warnings.
+    // "Clean" means nothing warning-or-worse: the info-level ladder-route
+    // note (RQA006 here — the query is one-way) always fires and must not
+    // affect the exit code, even under --deny-warnings.
     let (stdout, _, ok) = rqtool(&["lint", "(a|b)* c", "--deny-warnings"]);
     assert!(ok, "{stdout}");
-    assert!(stdout.contains("info[RQA006] simple-fragment"), "{stdout}");
+    assert!(stdout.contains("info[RQA006] one-way-query"), "{stdout}");
     assert!(stdout.contains("1 finding(s)"), "{stdout}");
     // The shipped example data stays lint-clean (modulo the RQD006 info
     // classification) — this is the `examples/` batch-lint mode.

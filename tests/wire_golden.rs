@@ -166,10 +166,25 @@ fn lint_json_report_is_byte_exact() {
         concat!(
             r#"[{"path":"<query>","diagnostics":["#,
             r#"{"rule":"RQA005","slug":"subsumed-union-branch","severity":"warning","message":"union branch #1 (`a`) is subsumed by branch #0 (`a*a*`)","#,
-            r#""notes":["containment proven by the quick ladder (Lemmas 2–4); the engine's pre-flight drops such branches before cache keying"]},"#,
-            r#"{"rule":"RQA007","slug":"non-simple-subterm","severity":"info","message":"query is outside the simple fragment: subterm `a*a*` is a union branch that is not a single letter (unions are simple only as letter disjunctions)","#,
-            r#""span":{"line":1,"column":1},"#,
-            r#""notes":["the query is one-way, so containment probes into it are still decided by the ladder's Lemma 1 rung over its minimal DFA"]}]}]"#,
+            r#""notes":["containment proven by the quick ladder (Lemma 1 for a one-way subsumer, Lemmas 2–4 otherwise); the engine's pre-flight drops such branches before cache keying"]},"#,
+            r#"{"rule":"RQA006","slug":"one-way-query","severity":"info","message":"query is one-way: containment probes into it are decided by the ladder's Lemma 1 rung over its minimal DFA","#,
+            r#""notes":["fold(L(Q)) = L(Q) for a one-way Q (Lemma 2), so Q1 ⊑ Q iff L(Q1) ⊆ L(Q)"]}]}]"#,
+            "\n",
+        )
+    );
+    // A diagnostic with a source span.
+    let out = Command::new(env!("CARGO_BIN_EXE_rqtool"))
+        .args(["lint", "a b-", "--json"])
+        .output()
+        .expect("rqtool runs");
+    assert!(out.status.success(), "info findings do not fail the lint");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        concat!(
+            r#"[{"path":"<query>","diagnostics":["#,
+            r#"{"rule":"RQA007","slug":"inverse-letter","severity":"info","message":"query reads the inverse letter `b-`: containment probes into it reach the exact fold/2NFA stage","#,
+            r#""span":{"line":1,"column":3},"#,
+            r#""notes":["Q1 ⊑ Q iff L(Q1) ⊆ fold(L(Q)) (Lemma 2), decided over the Lemma 3 fold 2NFA"]}]}]"#,
             "\n",
         )
     );
