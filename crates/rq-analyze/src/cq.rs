@@ -206,7 +206,11 @@ fn subsumed_disjuncts(
                     .display(alphabet)
             ),
         )
-        .with_note("containment proven via chain collapse + the 2NFA quick ladder (Lemmas 2–4)");
+        .with_note(
+            "containment proven via chain collapse + the quick ladder: the Lemma 1 rung when \
+             the subsuming chain is one-way, the fold/2NFA stage (Lemmas 2–4) when it reads \
+             an inverse letter",
+        );
         if let Some(span) = span_of(i) {
             diag = diag.with_span(span);
         }

@@ -147,7 +147,7 @@ pub const RULES: &[RuleInfo] = &[
         slug: "subsumed-disjunct",
         severity: Severity::Warning,
         class: "uc2rpq",
-        justification: "if disjunct δᵢ ⊑ δⱼ (via chain collapse + 2NFA containment) then δᵢ never adds answers",
+        justification: "if disjunct δᵢ ⊑ δⱼ (via chain collapse, then the Lemma 1 rung for a one-way δⱼ chain or the fold/2NFA stage for one with an inverse letter) then δᵢ never adds answers",
         complexity: "O(k²·c)",
     },
     RuleInfo {

@@ -702,13 +702,15 @@ fn e13() -> Gate {
     // The payoff: serve the fold-variant workload (each Lemma-2 detour
     // followed by its answer-equivalent union, plus two ∅ queries) with
     // the pass on and off. On: unions collide on the detour's canonical
-    // key (exact hits) and ∅ queries never reach the pool. Off: the
-    // unions are only recognized through per-candidate containment
-    // probes, and the ∅ queries are evaluated as ordinary misses.
+    // key, so the batch deduplicates them on their pre-flighted keys, and
+    // ∅ queries never reach the pool. Off: the unions are only recognized
+    // through per-candidate containment probes, and the ∅ queries are
+    // evaluated as ordinary misses. Each row accounts for every query.
     println!(
-        "| pre-flight | exact | equiv | subsumed | misses | empty | hit-rate | probes | cold µs |"
+        "| pre-flight | exact | equiv | subsumed | misses | empty | deduped | hit-rate | probes \
+         | cold µs |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|");
     let db = e10_graph(100, 3);
     let mut batch: Vec<TwoRpq> = Vec::new();
     for (_, detour, union) in pairs {
@@ -734,13 +736,10 @@ fn e13() -> Gate {
     for (name, engine, t) in [("on", &on, t_on), ("off", &off, t_off)] {
         let report = cold(engine, &batch);
         let s = &report.stats;
-        let empty = report
-            .items
-            .iter()
-            .filter(|i| i.disposition == Disposition::Empty)
-            .count();
+        let count = |d: Disposition| report.items.iter().filter(|i| i.disposition == d).count();
+        let (empty, deduped) = (count(Disposition::Empty), count(Disposition::Deduped));
         println!(
-            "| {name} | {} | {} | {} | {} | {empty} | {:.0}% | {} | {t:.0} |",
+            "| {name} | {} | {} | {} | {} | {empty} | {deduped} | {:.0}% | {} | {t:.0} |",
             s.exact,
             s.equivalent,
             s.subsumed,

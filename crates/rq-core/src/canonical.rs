@@ -7,44 +7,38 @@
 //! regular language over Σ±, which is unique up to state numbering — we fix
 //! the numbering by a BFS in sorted-letter order and serialize transitions
 //! through label *names*, so the key is independent of both the regex's
-//! syntax and the interning order of the alphabet.
+//! syntax and the interning order of the alphabet. It is built by
+//! determinizing the query's own ε-free NFA ([`TwoRpq::nfa`]); no regex
+//! rewriting runs first.
 //!
 //! Two caveats keep this honest at serving time:
 //!
 //! * determinization is the paper's exponential step (§3.2), so
-//!   [`CompiledQuery::new`] meters it; callers fall back to the
-//!   syntactic key ([`syntactic_key`]) on exhaustion, degrading the cache
-//!   to exact-match rather than stalling the request path;
+//!   [`CompiledQuery::new`] meters it; on exhaustion the key falls back to
+//!   `re:` plus the query's regex as written, degrading the cache to
+//!   exact-match rather than stalling the request path;
 //! * the key canonicalizes the *language* of the expression, not its
 //!   fold-closure — queries equivalent only over databases (like `p` and
 //!   `p p- p`) get distinct keys and are instead related by the containment
 //!   probes in [`crate::containment::facade`].
 //!
 //! [`CompiledQuery`] holds a query with everything the containment ladder
-//! derives from it alone, so the cache, its probes and pre-flight build
-//! those artefacts once per query instead of once per pair. That includes
-//! the trimmed minimal DFA the key serializes: the ladder's Lemma 1 rung
-//! decides containment in a one-way query over it, and the engine
-//! evaluates the query over it ([`CompiledQuery::automaton`]), with the
-//! query's NFA as the fallback.
+//! and the engine derive from it alone, so the cache, its probes and
+//! pre-flight build those artefacts once per query instead of once per
+//! pair: the cache key, the trimmed minimal DFA the key serializes (the
+//! ladder's Lemma 1 rung decides containment in a one-way query over it),
+//! and the automaton the engine evaluates the query over
+//! ([`CompiledQuery::automaton`]).
 
 use crate::rpq::TwoRpq;
 use rq_automata::dfa::DEAD;
-use rq_automata::governor::{expect_unlimited, Exhaustion, Governor};
-use rq_automata::regex::simplify;
-use rq_automata::{Alphabet, Dfa, Letter, Nfa, Regex};
-use std::borrow::Cow;
+use rq_automata::governor::Governor;
+use rq_automata::{Alphabet, Dfa, Letter, Nfa};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// The canonical key of the empty-language query.
 pub const EMPTY_KEY: &str = "dfa:empty";
-
-/// Canonical key of `q` over `alphabet`, unmetered. The engine keys
-/// through [`CompiledQuery::new`], which meters the subset construction.
-pub fn canonical_key(q: &TwoRpq, alphabet: &Alphabet) -> String {
-    let gov = Governor::unlimited();
-    expect_unlimited(simplified_key(&simplify(q.regex()), alphabet, &gov)).0
-}
 
 /// A query and its containment and evaluation artefacts, built once by
 /// [`CompiledQuery::new`]. The fields stay private so the artefacts can
@@ -52,28 +46,54 @@ pub fn canonical_key(q: &TwoRpq, alphabet: &Alphabet) -> String {
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     query: TwoRpq,
-    /// The simplified regex.
-    pub(crate) regex: Regex,
-    /// The canonical key, or `None` when the key budget ran out.
-    pub(crate) key: Option<String>,
+    /// The canonical key, or `re:` plus the query's regex when the key
+    /// budget ran out.
+    key: String,
     /// The minimal DFA the key serializes, trimmed of its sink, or `None`
     /// when the key budget ran out or the language is empty.
-    dfa: Option<Dfa>,
+    pub(crate) dfa: Option<Dfa>,
+    /// The automaton evaluation runs over: the DFA as an NFA when it has
+    /// no more transitions than the query's NFA, otherwise the query's NFA.
+    automaton: Arc<Nfa>,
+    /// Whether `automaton` is the DFA.
+    evaluates_dfa: bool,
 }
 
 impl CompiledQuery {
-    /// Simplify and key `q`, the key metered by `gov`.
+    /// Compile `q`: determinize its NFA under `gov` into the canonical key
+    /// and the trimmed minimal DFA, and choose its evaluation automaton.
     pub fn new(q: &TwoRpq, alphabet: &Alphabet, gov: &Governor) -> CompiledQuery {
-        let regex = simplify(q.regex());
-        let (key, dfa) = match simplified_key(&regex, alphabet, gov) {
-            Ok((key, dfa)) => (Some(key), dfa),
-            Err(_) => (None, None),
+        let nfa = q.nfa();
+        // Sort the letters the NFA reads by (label name, direction) so the
+        // DFA's column order — and hence the BFS renumbering of
+        // `Dfa::trim` — is stable across alphabets that intern the same
+        // names in different orders.
+        let mut letters: Vec<Letter> = nfa.letters().into_iter().collect();
+        letters.sort_by_key(|l| (alphabet.name(l.label).to_string(), l.inverse));
+        let (key, dfa) = if q.regex().is_empty_language() {
+            (EMPTY_KEY.to_string(), None)
+        } else {
+            match Dfa::determinize_governed(nfa, &letters, gov) {
+                Ok(dfa) => {
+                    let dfa = dfa.minimize().trim();
+                    let key = dfa
+                        .as_ref()
+                        .map_or_else(|| EMPTY_KEY.to_string(), |d| serialize(d, alphabet));
+                    (key, dfa)
+                }
+                Err(_) => (format!("re:{}", q.regex().display(alphabet)), None),
+            }
+        };
+        let (automaton, evaluates_dfa) = match dfa.as_ref().map(Dfa::to_nfa) {
+            Some(d) if d.num_transitions() <= nfa.num_transitions() => (d, true),
+            _ => (nfa.clone(), false),
         };
         CompiledQuery {
             query: q.clone(),
             key,
-            regex,
             dfa,
+            automaton: Arc::new(automaton),
+            evaluates_dfa,
         }
     }
 
@@ -82,77 +102,27 @@ impl CompiledQuery {
         &self.query
     }
 
-    /// The cache key: the canonical key, or the syntactic key when the
-    /// key budget ran out.
-    pub fn cache_key(&self, alphabet: &Alphabet) -> String {
-        self.key
-            .clone()
-            .unwrap_or_else(|| render_syntactic(&self.regex, alphabet))
+    /// The cache key: the canonical key, or `re:` plus the query's regex
+    /// when the key budget ran out.
+    pub fn cache_key(&self) -> &str {
+        &self.key
     }
 
-    /// The canonical key with the trimmed minimal DFA it serializes: the
-    /// stored pair, or, when the key budget ran out at compile time, a
-    /// pair built now under `gov`.
-    pub(crate) fn key_and_dfa(
-        &self,
-        alphabet: &Alphabet,
-        gov: &Governor,
-    ) -> Result<(Cow<'_, str>, Option<Cow<'_, Dfa>>), Exhaustion> {
-        match &self.key {
-            Some(key) => Ok((Cow::Borrowed(key), self.dfa.as_ref().map(Cow::Borrowed))),
-            None => simplified_key(&self.regex, alphabet, gov)
-                .map(|(key, dfa)| (Cow::Owned(key), dfa.map(Cow::Owned))),
+    /// The ε-free automaton to evaluate the query over, chosen at compile
+    /// time: the trimmed minimal DFA when it has no more transitions than
+    /// the query's NFA ([`TwoRpq::nfa`]), otherwise that NFA.
+    pub fn automaton(&self) -> &Arc<Nfa> {
+        &self.automaton
+    }
+
+    /// Which automaton [`CompiledQuery::automaton`] is: `"dfa"` or `"nfa"`.
+    pub fn automaton_kind(&self) -> &'static str {
+        if self.evaluates_dfa {
+            "dfa"
+        } else {
+            "nfa"
         }
     }
-
-    /// The automaton to evaluate the query over: the trimmed minimal DFA,
-    /// as an ε-free [`Nfa`] (`Cow::Owned`), when it has no more
-    /// transitions than the query's NFA; otherwise, or when there is no
-    /// DFA, the query's NFA ([`TwoRpq::nfa`], `Cow::Borrowed`).
-    pub fn automaton(&self) -> Cow<'_, Nfa> {
-        let nfa = self.query.nfa();
-        match self.dfa.as_ref().map(Dfa::to_nfa) {
-            Some(dfa) if dfa.num_transitions() <= nfa.num_transitions() => Cow::Owned(dfa),
-            _ => Cow::Borrowed(nfa),
-        }
-    }
-}
-
-/// Canonical key of an already simplified `regex`, with the trimmed
-/// minimal DFA it serializes (`None` for the empty language).
-fn simplified_key(
-    regex: &Regex,
-    alphabet: &Alphabet,
-    gov: &Governor,
-) -> Result<(String, Option<Dfa>), Exhaustion> {
-    if regex.is_empty_language() {
-        return Ok((EMPTY_KEY.to_string(), None));
-    }
-    // Sort the mentioned letters by (label name, direction) so the DFA's
-    // column order — and hence the BFS renumbering of `Dfa::trim` — is
-    // stable across alphabets that intern the same names in different
-    // orders.
-    let mut letters: Vec<Letter> = regex.letters().into_iter().collect();
-    letters.sort_by_key(|l| (alphabet.name(l.label).to_string(), l.inverse));
-    let nfa = Nfa::from_regex(regex).eliminate_epsilon().trim();
-    let dfa = Dfa::determinize_governed(&nfa, &letters, gov)?
-        .minimize()
-        .trim();
-    let key = dfa
-        .as_ref()
-        .map_or_else(|| EMPTY_KEY.to_string(), |d| serialize(d, alphabet));
-    Ok((key, dfa))
-}
-
-/// The syntactic fallback key: the simplified regex rendered through label
-/// names. Exact-match only, but never more expensive than simplification.
-pub fn syntactic_key(q: &TwoRpq, alphabet: &Alphabet) -> String {
-    render_syntactic(&simplify(q.regex()), alphabet)
-}
-
-/// The syntactic key of an already simplified `regex`.
-fn render_syntactic(regex: &Regex, alphabet: &Alphabet) -> String {
-    format!("re:{}", regex.display(alphabet))
 }
 
 /// Serialize a trimmed minimal DFA into a canonical string. [`Dfa::trim`]
@@ -184,10 +154,15 @@ fn serialize(dfa: &Dfa, alphabet: &Alphabet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rq_automata::{Limits, Resource};
+    use rq_automata::{Limits, Regex};
+
+    fn compile(q: &TwoRpq, al: &Alphabet) -> CompiledQuery {
+        CompiledQuery::new(q, al, &Governor::unlimited())
+    }
 
     fn key(s: &str, al: &mut Alphabet) -> String {
-        canonical_key(&TwoRpq::parse(s, al).unwrap(), al)
+        let q = TwoRpq::parse(s, al).unwrap();
+        compile(&q, al).cache_key().to_string()
     }
 
     #[test]
@@ -220,8 +195,11 @@ mod tests {
     #[test]
     fn empty_language_is_the_empty_key() {
         let al = Alphabet::new();
-        let q = TwoRpq::new(rq_automata::Regex::union([]));
-        assert_eq!(canonical_key(&q, &al), EMPTY_KEY);
+        let q = TwoRpq::new(Regex::union([]));
+        assert_eq!(compile(&q, &al).cache_key(), EMPTY_KEY);
+        // Even a budget that affords no subset state keys ∅ canonically.
+        let starved = Limits::unlimited().with_fuel(0).governor();
+        assert_eq!(CompiledQuery::new(&q, &al, &starved).cache_key(), EMPTY_KEY);
     }
 
     #[test]
@@ -237,24 +215,33 @@ mod tests {
     fn governed_key_exhausts_gracefully() {
         let mut al = Alphabet::new();
         let q = TwoRpq::parse("(a|b)(a|b)(a|b)(a|b)", &mut al).unwrap();
-        let gov = Limits::unlimited().with_fuel(3).governor();
-        let e = simplified_key(&simplify(q.regex()), &al, &gov).unwrap_err();
-        assert_eq!(e.resource, Resource::Fuel);
-        // The fallback key is still available and deterministic.
-        assert_eq!(syntactic_key(&q, &al), syntactic_key(&q, &al));
+        let starve = || Limits::unlimited().with_fuel(3).governor();
+        let compiled = CompiledQuery::new(&q, &al, &starve());
+        assert!(compiled.dfa.is_none());
+        assert!(compiled.cache_key().starts_with("re:"));
+        // The fallback key is deterministic.
+        let again = CompiledQuery::new(&q, &al, &starve());
+        assert_eq!(compiled.cache_key(), again.cache_key());
     }
 
     #[test]
-    fn starved_compile_keys_by_its_simplified_regex() {
+    fn starved_compile_keys_by_its_own_regex() {
         let mut al = Alphabet::new();
-        // Simplification rewrites this text, so the fallback key must be
-        // the stored simplified regex, rendered as `syntactic_key` does.
-        let q = TwoRpq::parse("((a|b)(a|b)(a|b)(a|b) | ε)+", &mut al).unwrap();
+        // The fallback key is the query's regex as written, not a
+        // rewritten form of it.
+        let text = "((a|b)(a|b)(a|b)(a|b) | ε)+";
+        let q = TwoRpq::parse(text, &mut al).unwrap();
         let starved = Limits::unlimited().with_fuel(1).governor();
         let compiled = CompiledQuery::new(&q, &al, &starved);
-        assert!(compiled.key.is_none());
-        assert_eq!(compiled.cache_key(&al), syntactic_key(&q, &al));
-        assert_ne!(q.regex(), &compiled.regex, "the text simplifies");
+        assert_eq!(
+            compiled.cache_key(),
+            format!("re:{}", q.regex().display(&al))
+        );
+        let simplified = TwoRpq::new(rq_automata::regex::simplify(q.regex()));
+        assert_ne!(q.regex(), simplified.regex(), "the text simplifies");
+        let starved = Limits::unlimited().with_fuel(1).governor();
+        let other = CompiledQuery::new(&simplified, &al, &starved);
+        assert_ne!(compiled.cache_key(), other.cache_key());
     }
 
     #[test]
@@ -265,9 +252,9 @@ mod tests {
         // A cold-eval-shaped chain: the Thompson NFA keeps a state per
         // union branch that the minimal DFA merges.
         let q = TwoRpq::parse("a (a|b) (b|a-) (a|b) b-", &mut al).unwrap();
-        let compiled = CompiledQuery::new(&q, &al, &Governor::unlimited());
+        let compiled = compile(&q, &al);
+        assert_eq!(compiled.automaton_kind(), "dfa", "the DFA is evaluated");
         let dfa = compiled.automaton();
-        assert!(matches!(dfa, Cow::Owned(_)), "the DFA is evaluated");
         assert!(
             dfa.num_states() < q.nfa().num_states(),
             "{} DFA states vs {} NFA states",
@@ -279,7 +266,7 @@ mod tests {
             let answer = frontier::all_pairs_governed(&db, nfa, &gov).unwrap();
             (answer, gov.fuel_spent())
         };
-        let (dfa_answer, dfa_fuel) = all_pairs(&dfa);
+        let (dfa_answer, dfa_fuel) = all_pairs(dfa);
         let (nfa_answer, nfa_fuel) = all_pairs(q.nfa());
         assert!(!nfa_answer.is_empty());
         assert_eq!(dfa_answer, nfa_answer);
@@ -292,11 +279,12 @@ mod tests {
         let q = TwoRpq::parse("(a|b)(a|b)(a|b)(a|b)", &mut al).unwrap();
         let starved = Limits::unlimited().with_fuel(1).governor();
         let compiled = CompiledQuery::new(&q, &al, &starved);
-        assert!(compiled.key.is_none());
-        assert!(matches!(compiled.automaton(), Cow::Borrowed(n) if n == q.nfa()));
+        assert!(compiled.cache_key().starts_with("re:"));
+        assert_eq!(compiled.automaton_kind(), "nfa");
+        assert_eq!(**compiled.automaton(), *q.nfa());
         let empty = TwoRpq::new(Regex::union([]));
-        let compiled = CompiledQuery::new(&empty, &al, &Governor::unlimited());
-        assert_eq!(compiled.key.as_deref(), Some(EMPTY_KEY));
-        assert!(matches!(compiled.automaton(), Cow::Borrowed(_)));
+        let compiled = compile(&empty, &al);
+        assert_eq!(compiled.cache_key(), EMPTY_KEY);
+        assert_eq!(compiled.automaton_kind(), "nfa");
     }
 }

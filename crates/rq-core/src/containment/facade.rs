@@ -6,21 +6,23 @@
 //! successively more expensive tests, each sound on its own:
 //!
 //! 1. empty left-hand language (`∅ ⊑ Q` always — [`Certificate::EmptyLeft`]);
-//! 2. syntactic equality of the simplified expressions;
-//! 3. canonical-key equality (same minimal DFA ⟹ same word language ⟹
-//!    containment both ways), metered only for a key the compiled query
-//!    lacks;
+//! 2. syntactic equality of the two regexes;
+//! 3. cache-key equality: equal canonical keys mean the same minimal DFA,
+//!    so the same word language, and equal `re:` fallback keys mean the
+//!    same regex — containment both ways, which is exactly what the cache
+//!    serves its exact hits on;
 //! 4. Lemma 1, whenever `Q2` is one-way (span and stage `simple`): a
 //!    forward walk cannot get past the backward edge of an inverse
 //!    letter, so `fold(L(Q2)) = L(Q2)` and `Q1 ⊑ Q2` iff
 //!    `L(Q1) ⊆ L(Q2)`, decided by [`super::rpq`]'s search over `Q2`'s
-//!    minimal DFA — exact in both directions, and unmetered;
+//!    stored minimal DFA (unmetered), or over `Q2`'s NFA (metered) when
+//!    its key budget ran out — exact in both directions;
 //! 5. the exact fold-based checker, metered, when `Q2` reads an inverse
 //!    letter.
 //!
-//! The ladder runs on [`CompiledQuery`] pairs, so the simplified regexes,
-//! canonical keys and minimal DFAs it compares are built once per query,
-//! not once per check. Every rung runs under the caller's [`Limits`]; a
+//! The ladder runs on [`CompiledQuery`] pairs and never compiles: the
+//! keys and minimal DFAs it compares were built once per query, not once
+//! per check. Every rung runs under the caller's [`Limits`]; a
 //! budget tripped anywhere surfaces as [`Outcome::Unknown`], which cache
 //! callers treat as "no subsumption found" — the cache degrades to
 //! exact-match instead of stalling the request.
@@ -44,9 +46,10 @@ pub fn check_quick(q1: &TwoRpq, q2: &TwoRpq, alphabet: &Alphabet, limits: &Limit
 
 /// [`check_quick`] on compiled queries against a caller-owned governor,
 /// so callers (the semantic cache) can read back how much budget the
-/// probe actually spent from [`Governor::counters`]. The fast rungs read
-/// the compiled artefacts; only a key the compile-time budget could not
-/// afford is computed here, under `gov`. Each rung records which stage of
+/// probe actually spent from [`Governor::counters`]. The rungs read the
+/// compiled artefacts and build none; only a search over an NFA (the
+/// Lemma 1 rung for a `Q2` without a stored DFA, and the exact stage) is
+/// metered by `gov`. Each rung records which stage of
 /// the ladder decided the check in the `rq_containment_ladder_total`
 /// metric, and opens a trace span (`ladder.*`, see ALGORITHMS.md)
 /// annotated with the rung's verdict — `contained` / `not_contained` /
@@ -60,7 +63,7 @@ pub fn check_quick_governed(
 ) -> Outcome {
     {
         let mut s = span::start("ladder.empty_left");
-        if c1.regex.is_empty_language() {
+        if c1.query().regex().is_empty_language() {
             s.record("verdict", "contained");
             metrics::ladder_stage(metrics::Stage::EmptyLeft);
             return Outcome::Contained(Certificate::EmptyLeft);
@@ -69,49 +72,32 @@ pub fn check_quick_governed(
     }
     {
         let mut s = span::start("ladder.syntactic_eq");
-        if c1.regex == c2.regex {
+        if c1.query().regex() == c2.query().regex() {
             s.record("verdict", "contained");
             metrics::ladder_stage(metrics::Stage::SyntacticEq);
             return Outcome::Contained(Certificate::LanguageContainment { states_explored: 0 });
         }
         s.record("verdict", "pass");
     }
-    // The key rung hands on `Q2`'s trimmed minimal DFA for the Lemma 1
-    // rung: the stored one, or the one it had to build for a missing key.
-    let d2 = {
+    {
         let mut s = span::start("ladder.canonical_key");
-        let fuel_before = gov.fuel_spent();
-        let keys = (c1.key_and_dfa(alphabet, gov), c2.key_and_dfa(alphabet, gov));
-        if s.active() {
-            s.record("fuel", gov.fuel_spent() - fuel_before);
+        if c1.cache_key() == c2.cache_key() {
+            s.record("verdict", "contained");
+            metrics::ladder_stage(metrics::Stage::CanonicalKey);
+            return Outcome::Contained(Certificate::LanguageContainment { states_explored: 0 });
         }
-        match keys {
-            (Ok((k1, _)), Ok((k2, _))) if k1 == k2 => {
-                s.record("verdict", "contained");
-                metrics::ladder_stage(metrics::Stage::CanonicalKey);
-                return Outcome::Contained(Certificate::LanguageContainment { states_explored: 0 });
-            }
-            (Err(e), _) | (_, Err(e)) => {
-                s.record("verdict", "unknown");
-                metrics::ladder_stage(metrics::Stage::Exhausted);
-                return Outcome::exhausted(e);
-            }
-            (_, Ok((_, d2))) => {
-                s.record("verdict", "pass");
-                d2
-            }
-        }
-    };
+        s.record("verdict", "pass");
+    }
     {
         // The Lemma 1 rung (span and stage `simple`): for a one-way `Q2`,
         // `fold(L(Q2)) = L(Q2)`, so `Q1 ⊑ Q2` iff `L(Q1) ⊆ L(Q2)`. Over
-        // `Q2`'s DFA the product is unmetered, bounded by
-        // `|Q1|·|D2|·|Σ±|`; only an empty `Q2`, which has no DFA, is
-        // searched over its NFA under `gov`.
+        // `Q2`'s stored DFA the product is unmetered, bounded by
+        // `|Q1|·|D2|·|Σ±|`; a `Q2` without one (its key budget ran out,
+        // or its language is empty) is searched over its NFA under `gov`.
         let mut s = span::start("ladder.simple");
-        if c2.regex.is_forward_only() {
-            let a2 = c2.query().nfa();
-            match rpq::language_containment(c1.query().nfa(), d2.as_deref(), a2, alphabet, gov) {
+        if c2.query().is_forward_only() {
+            let (a1, a2) = (c1.query().nfa(), c2.query().nfa());
+            match rpq::language_containment(a1, c2.dfa.as_ref(), a2, alphabet, gov) {
                 Ok((outcome, states)) => {
                     s.record("states", states);
                     s.record("verdict", verdict(&outcome));
@@ -276,16 +262,6 @@ mod tests {
             verdict("ladder.canonical_key").as_deref(),
             Some("contained")
         );
-        let canonical = t
-            .spans
-            .iter()
-            .find(|s| s.name == "ladder.canonical_key")
-            .unwrap();
-        assert!(
-            canonical.fields.iter().any(|(k, _)| *k == "fuel"),
-            "metered rung records its fuel: {:?}",
-            canonical.fields
-        );
         assert!(
             !t.spans.iter().any(|s| s.name == "ladder.full_check"),
             "decided at rung 3 — the exact checker never ran"
@@ -389,12 +365,15 @@ mod tests {
         let out = check_quick_governed(&c1, &c2, &al, &gov);
         assert!(out.is_not_contained(), "{out}");
         assert_eq!(gov.fuel_spent(), 0);
-        // Without a stored key the key rung builds `Q2`'s DFA under the
-        // probe budget, and the rung still decides.
+        // Without a stored key the rung searches `Q2`'s NFA under the
+        // probe budget instead, and still decides.
         let starved = Limits::unlimited().with_fuel(1).governor();
         let c2_keyless = CompiledQuery::new(&q2, &al, &starved);
-        let out = check_quick_governed(&c1, &c2_keyless, &al, &Governor::unlimited());
+        assert!(c2_keyless.cache_key().starts_with("re:"));
+        let gov = Governor::unlimited();
+        let out = check_quick_governed(&c1, &c2_keyless, &al, &gov);
         assert!(out.is_not_contained(), "{out}");
+        assert!(gov.fuel_spent() > 0, "the NFA search is metered");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The containment-based semantic result cache.
 //!
-//! Submitted queries are compiled once ([`CompiledQuery`]) into their
-//! canonical key, simplified regex and minimal DFA; a key hit
+//! Submitted queries are compiled once ([`CompiledQuery`]): their NFA is
+//! determinized into the canonical key and the minimal DFA. A key hit
 //! returns the materialized answer outright, and entries keep their
-//! compiled query so probes against them rebuild nothing. On a key miss
+//! compiled query, key included, so probes against them rebuild nothing. On a key miss
 //! the cache *probes* its most recently used entries with the cheap-first
 //! containment facade
 //! ([`rq_core::containment::facade::check_quick_governed`]):
@@ -16,10 +16,11 @@
 //!   ([`Lookup::Subsumed`]; the engine does the filtering, which also
 //!   restricts the product BFS to sources that appear in `Q'(D)`).
 //!
-//! Probes run under their own small [`Limits`] budget; when canonicalization
-//! or a probe exhausts, the lookup cannot use that entry and the cache
-//! degrades to a plain exact-match cache rather than stalling the request
-//! path. Exhausted probes are *not* conflated with proven non-containment:
+//! A query whose key exhausts `key_limits` keys by its regex as written.
+//! Probes run under their own small [`Limits`] budget; when a probe
+//! exhausts, the lookup cannot use that entry and the cache degrades to a
+//! plain exact-match cache rather than stalling the request path.
+//! Exhausted probes are *not* conflated with proven non-containment:
 //! they are tallied separately ([`CacheStats::probe_exhausted`] and the
 //! `rq_cache_probes_total{result="exhausted"}` metric), so hit-rate
 //! dashboards distinguish "the cache had nothing" from "the budget was too
@@ -45,8 +46,8 @@ pub type Answer = Arc<BTreeSet<(NodeId, NodeId)>>;
 pub struct CacheConfig {
     /// Maximum number of materialized answers kept (LRU eviction).
     pub capacity: usize,
-    /// Budget for canonicalizing one query into its cache key; on
-    /// exhaustion the syntactic key is used instead.
+    /// Budget for determinizing one query into its canonical key; on
+    /// exhaustion the key is `re:` plus the query's regex instead.
     pub key_limits: Limits,
     /// Budget for one containment probe (each direction).
     pub probe_limits: Limits,
@@ -154,7 +155,6 @@ impl Lookup {
 }
 
 struct Entry {
-    key: String,
     query: CompiledQuery,
     answer: Answer,
     last_used: u64,
@@ -188,9 +188,9 @@ impl SemanticCache {
     }
 
     /// The cache key of `q`: canonical when affordable within
-    /// `key_limits`, syntactic otherwise.
+    /// `key_limits`, `re:` plus its regex otherwise.
     pub fn key_of(&self, q: &TwoRpq, alphabet: &Alphabet) -> String {
-        self.compile(q, alphabet).cache_key(alphabet)
+        self.compile(q, alphabet).cache_key().to_string()
     }
 
     /// Number of materialized entries.
@@ -252,11 +252,12 @@ impl SemanticCache {
         out
     }
 
-    /// Look up `q` (with `key` its [`CompiledQuery::cache_key`]), updating
-    /// counters and recency.
-    pub fn lookup(&mut self, q: &CompiledQuery, key: &str, alphabet: &Alphabet) -> Lookup {
+    /// Look up `q` by its [`CompiledQuery::cache_key`], then by probes,
+    /// updating counters and recency.
+    pub fn lookup(&mut self, q: &CompiledQuery, alphabet: &Alphabet) -> Lookup {
         let mut span = span::start("cache.lookup");
-        if let Some(i) = self.entries.iter().position(|e| e.key == key) {
+        let key = q.cache_key();
+        if let Some(i) = self.entries.iter().position(|e| e.query.cache_key() == key) {
             self.touch(i);
             self.stats.exact += 1;
             span.record("disposition", "exact");
@@ -299,13 +300,14 @@ impl SemanticCache {
         Lookup::Miss
     }
 
-    /// Materialize `answer` for `q` under `key`, evicting the least
-    /// recently used entry when at capacity.
-    pub fn insert(&mut self, key: String, q: CompiledQuery, answer: Answer) {
+    /// Materialize `answer` for `q` under its cache key, evicting the
+    /// least recently used entry when at capacity.
+    pub fn insert(&mut self, q: CompiledQuery, answer: Answer) {
         if self.config.capacity == 0 {
             return;
         }
-        if let Some(i) = self.entries.iter().position(|e| e.key == key) {
+        let key = q.cache_key();
+        if let Some(i) = self.entries.iter().position(|e| e.query.cache_key() == key) {
             self.entries[i].answer = answer;
             self.touch(i);
             return;
@@ -324,7 +326,6 @@ impl SemanticCache {
         }
         self.clock += 1;
         self.entries.push(Entry {
-            key,
             query: q,
             answer,
             last_used: self.clock,
@@ -335,7 +336,7 @@ impl SemanticCache {
     /// Whether an entry with exactly this key is materialized (no recency
     /// update, no probes).
     pub fn contains_key(&self, key: &str) -> bool {
-        self.entries.iter().any(|e| e.key == key)
+        self.entries.iter().any(|e| e.query.cache_key() == key)
     }
 
     /// Delta-driven invalidation: evict exactly the entries whose answers
@@ -487,11 +488,9 @@ mod tests {
         let mut cache = SemanticCache::new(CacheConfig::default());
         let q1 = TwoRpq::parse("a b | a c", &mut al).unwrap();
         let q2 = TwoRpq::parse("a(b|c)", &mut al).unwrap();
-        let k1 = cache.key_of(&q1, &al);
-        cache.insert(k1, cache.compile(&q1, &al), pairs(&db, &q1));
-        let k2 = cache.key_of(&q2, &al);
+        cache.insert(cache.compile(&q1, &al), pairs(&db, &q1));
         assert!(matches!(
-            cache.lookup(&cache.compile(&q2, &al), &k2, &al),
+            cache.lookup(&cache.compile(&q2, &al), &al),
             Lookup::Exact(_)
         ));
         assert_eq!(cache.stats().exact, 1);
@@ -511,9 +510,9 @@ mod tests {
         let k1 = cache.key_of(&q1, &al);
         let k2 = cache.key_of(&q2, &al);
         assert_ne!(k1, k2, "syntactic keys must differ");
-        cache.insert(k1, cache.compile(&q1, &al), pairs(&db, &q1));
+        cache.insert(cache.compile(&q1, &al), pairs(&db, &q1));
         assert!(matches!(
-            cache.lookup(&cache.compile(&q2, &al), &k2, &al),
+            cache.lookup(&cache.compile(&q2, &al), &al),
             Lookup::Equivalent(_)
         ));
     }
@@ -524,10 +523,8 @@ mod tests {
         let mut cache = SemanticCache::new(CacheConfig::default());
         let big = TwoRpq::parse("(a|b)+", &mut al).unwrap();
         let small = TwoRpq::parse("a+", &mut al).unwrap();
-        let kb = cache.key_of(&big, &al);
-        cache.insert(kb, cache.compile(&big, &al), pairs(&db, &big));
-        let ks = cache.key_of(&small, &al);
-        match cache.lookup(&cache.compile(&small, &al), &ks, &al) {
+        cache.insert(cache.compile(&big, &al), pairs(&db, &big));
+        match cache.lookup(&cache.compile(&small, &al), &al) {
             Lookup::Subsumed { superset, .. } => {
                 assert!(pairs(&db, &small).is_subset(&superset));
             }
@@ -548,19 +545,17 @@ mod tests {
             .map(|s| TwoRpq::parse(s, &mut al).unwrap())
             .collect();
         for q in &queries {
-            let k = cache.key_of(q, &al);
             assert!(matches!(
-                cache.lookup(&cache.compile(q, &al), &k, &al),
+                cache.lookup(&cache.compile(q, &al), &al),
                 Lookup::Miss
             ));
-            cache.insert(k, cache.compile(q, &al), pairs(&db, q));
+            cache.insert(cache.compile(q, &al), pairs(&db, q));
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // The oldest entry ("a a") is gone; "a b" survives.
-        let k = cache.key_of(&queries[2], &al);
         assert!(matches!(
-            cache.lookup(&cache.compile(&queries[2], &al), &k, &al),
+            cache.lookup(&cache.compile(&queries[2], &al), &al),
             Lookup::Exact(_)
         ));
     }
@@ -576,11 +571,9 @@ mod tests {
         // so only the metered exact stage can decide it.
         let big = TwoRpq::parse("(a|a-)+", &mut al).unwrap();
         let small = TwoRpq::parse("a+", &mut al).unwrap();
-        let kb = cache.key_of(&big, &al);
-        cache.insert(kb, cache.compile(&big, &al), pairs(&db, &big));
-        let ks = cache.key_of(&small, &al);
+        cache.insert(cache.compile(&big, &al), pairs(&db, &big));
         assert!(matches!(
-            cache.lookup(&cache.compile(&small, &al), &ks, &al),
+            cache.lookup(&cache.compile(&small, &al), &al),
             Lookup::Miss
         ));
         // The starved probe is recorded as exhausted, not as a proven
@@ -598,8 +591,7 @@ mod tests {
         let qb = TwoRpq::parse("b b-", &mut al).unwrap();
         let qab = TwoRpq::parse("a b", &mut al).unwrap();
         for q in [&qa, &qb, &qab] {
-            let k = cache.key_of(q, &al);
-            cache.insert(k, cache.compile(q, &al), pairs(&db, q));
+            cache.insert(cache.compile(q, &al), pairs(&db, q));
         }
         let touched: BTreeSet<LabelId> = [al.get("a").unwrap()].into_iter().collect();
         let evicted = cache.invalidate(&touched, false);
@@ -619,20 +611,15 @@ mod tests {
         let nullable = TwoRpq::parse("b*", &mut al).unwrap();
         let plain = TwoRpq::parse("b+", &mut al).unwrap();
         for q in [&nullable, &plain] {
-            let k = cache.key_of(q, &al);
-            cache.insert(k, cache.compile(q, &al), pairs(&db, q));
+            cache.insert(cache.compile(q, &al), pairs(&db, q));
         }
         let touched: BTreeSet<LabelId> = [al.get("a").unwrap()].into_iter().collect();
         assert_eq!(cache.invalidate(&touched, true), 1);
         let kp = cache.key_of(&plain, &al);
         assert!(cache.contains_key(&kp), "non-nullable b+ survives");
         // Without node additions the nullable entry would have survived.
+        cache.insert(cache.compile(&nullable, &al), pairs(&db, &nullable));
         let k = cache.key_of(&nullable, &al);
-        cache.insert(
-            k.clone(),
-            cache.compile(&nullable, &al),
-            pairs(&db, &nullable),
-        );
         assert_eq!(cache.invalidate(&touched, false), 0);
         assert!(cache.contains_key(&k));
     }
@@ -644,7 +631,7 @@ mod tests {
         let q = TwoRpq::parse("a b", &mut al).unwrap();
         let k = cache.key_of(&q, &al);
         assert!(!cache.contains_key(&k));
-        cache.insert(k.clone(), cache.compile(&q, &al), pairs(&db, &q));
+        cache.insert(cache.compile(&q, &al), pairs(&db, &q));
         assert!(cache.contains_key(&k));
         assert_eq!(cache.stats(), CacheStats::default(), "no lookup counted");
     }

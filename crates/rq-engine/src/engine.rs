@@ -12,16 +12,16 @@ use crate::cache::{Answer, CacheConfig, CacheStats, Lookup, SemanticCache};
 use crate::pool::WorkerPool;
 use rq_automata::governor::{EngineError, Governor, Limits, Resource};
 use rq_automata::{Alphabet, LabelId, Nfa};
+use rq_core::canonical::{CompiledQuery, EMPTY_KEY};
 use rq_core::TwoRpq;
 use rq_graph::{frontier, Delta, GraphDb, NodeId};
 use rq_metrics::span;
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Engine construction knobs.
 #[derive(Debug, Clone)]
@@ -157,6 +157,18 @@ pub struct BatchReport {
 struct Shared {
     alphabet: Alphabet,
     cache: SemanticCache,
+}
+
+/// A pre-flighted query, ready to serve.
+enum Prepared {
+    /// Pre-flight proved `L(Q) = ∅`.
+    Empty,
+    /// Compiled once, for the key, the lookup, the insert and the
+    /// evaluation automaton.
+    Compiled(CompiledQuery),
+    /// Degraded (post-recovery) serving: evaluated over its own NFA, with
+    /// no compile and no cache traffic.
+    Uncached(TwoRpq),
 }
 
 /// The outcome of one [`Engine::apply_deltas`] batch.
@@ -332,9 +344,27 @@ impl Engine {
         limits: &Limits,
         cancel: Option<Arc<AtomicBool>>,
     ) -> Result<QueryResult, EngineError> {
+        self.traced(|| {
+            let mut shared = self.shared();
+            let Shared { alphabet, cache } = &mut *shared;
+            let prepared = match self.preflight(q, alphabet) {
+                None => Prepared::Empty,
+                Some(q) if self.is_degraded() => Prepared::Uncached(q),
+                Some(q) => Prepared::Compiled(cache.compile(&q, alphabet)),
+            };
+            self.serve(prepared, shared, limits, cancel)
+        })
+    }
+
+    /// Run one served query under its `engine.run` span and record it in
+    /// the per-query metrics.
+    fn traced(
+        &self,
+        run: impl FnOnce() -> Result<QueryResult, EngineError>,
+    ) -> Result<QueryResult, EngineError> {
         let mut span = span::start("engine.run");
         let start = std::time::Instant::now();
-        let result = self.run_inner(q, limits, cancel);
+        let result = run();
         if span.active() {
             match &result {
                 Ok(r) => {
@@ -348,9 +378,23 @@ impl Engine {
         result
     }
 
-    fn run_inner(
+    /// The query to serve in place of `q`: `None` when the pre-flight
+    /// (rq-analyze) proves `L(Q) = ∅`; otherwise `q` with the union
+    /// branches a sibling subsumes normalized away, so the canonical key
+    /// collides for answer-equivalent requests.
+    fn preflight(&self, q: &TwoRpq, alphabet: &Alphabet) -> Option<TwoRpq> {
+        if !self.config.preflight {
+            return Some(q.clone());
+        }
+        let p = rq_analyze::preflight(q, alphabet, &self.config.cache.probe_limits);
+        (p.action != rq_analyze::PreflightAction::Empty).then_some(p.query)
+    }
+
+    /// Serve a prepared query, starting under the held `shared` lock.
+    fn serve(
         &self,
-        q: &TwoRpq,
+        prepared: Prepared,
+        mut shared: MutexGuard<'_, Shared>,
         limits: &Limits,
         cancel: Option<Arc<AtomicBool>>,
     ) -> Result<QueryResult, EngineError> {
@@ -358,40 +402,32 @@ impl Engine {
         // critical section as the cache lookup: `apply_deltas` mutates
         // graph, epoch, and cache under this very lock, so the triple is
         // mutually consistent — a Subsumed superset is always filtered
-        // against the graph version it was cached for.
-        let (key, lookup, q_eff, db, epoch_at_lookup) = {
-            let mut shared = self.shared();
-            let Shared { alphabet, cache } = &mut *shared;
-            // Pre-flight (rq-analyze): short-circuit ∅-language queries
-            // and normalize away union branches a sibling subsumes, so the
-            // canonical key below collides for answer-equivalent requests.
-            let q_eff = if self.config.preflight {
-                let p = rq_analyze::preflight(q, alphabet, &self.config.cache.probe_limits);
-                if p.action == rq_analyze::PreflightAction::Empty {
-                    return Ok(QueryResult {
-                        answer: Arc::new(BTreeSet::new()),
-                        disposition: Disposition::Empty,
-                    });
-                }
-                p.query
-            } else {
-                q.clone()
-            };
-            // Degraded (post-recovery) serving skips all cache traffic:
-            // the answer still comes from the graph. Otherwise the query is
-            // compiled once, for both the lookup and the insert.
-            let (key, lookup) = if self.is_degraded() {
-                (None, Lookup::Miss)
-            } else {
-                let compiled = cache.compile(&q_eff, alphabet);
-                let key = compiled.cache_key(alphabet);
-                let lookup = cache.lookup(&compiled, &key, alphabet);
-                (Some((key, compiled)), lookup)
-            };
-            (key, lookup, q_eff, self.db(), self.epoch())
+        // against the graph version it was cached for. Degraded serving
+        // skips all cache traffic: the answer still comes from the graph.
+        let (compiled, automaton, kind, lookup) = match prepared {
+            Prepared::Empty => {
+                return Ok(QueryResult {
+                    answer: Arc::new(BTreeSet::new()),
+                    disposition: Disposition::Empty,
+                })
+            }
+            Prepared::Compiled(c) => {
+                let lookup = if self.is_degraded() {
+                    Lookup::Miss
+                } else {
+                    let Shared { alphabet, cache } = &mut *shared;
+                    cache.lookup(&c, alphabet)
+                };
+                let (automaton, kind) = (Arc::clone(c.automaton()), c.automaton_kind());
+                (Some(c), automaton, kind, lookup)
+            }
+            // Degraded serving compiled nothing: it runs the query's NFA.
+            Prepared::Uncached(q) => (None, Arc::new(q.nfa().clone()), "nfa", Lookup::Miss),
         };
+        let (db, epoch_at_lookup) = (self.db(), self.epoch());
+        drop(shared);
         // Graph work happens outside the lock: concurrent callers only
-        // contend on key computation and probes.
+        // contend on compiles and probes.
         let (sources, disposition) = match lookup {
             Lookup::Exact(answer) => {
                 return Ok(QueryResult {
@@ -416,14 +452,8 @@ impl Engine {
             }
             Lookup::Miss => (db.nodes().collect(), Disposition::Miss),
         };
-        // The compiled query's automaton; degraded serving compiled
-        // nothing, so it runs the query's NFA.
-        let automaton = match &key {
-            Some((_, compiled)) => compiled.automaton(),
-            None => Cow::Borrowed(q_eff.nfa()),
-        };
-        let answer = Arc::new(self.eval_sources(automaton, &db, sources, limits, cancel)?);
-        if let Some((key, compiled)) = key {
+        let answer = Arc::new(self.eval_sources(automaton, kind, &db, sources, limits, cancel)?);
+        if let Some(compiled) = compiled {
             let mut shared = self.shared();
             // The recovery may have happened mid-request (the poison was
             // observed by this very lock call): don't materialize into a
@@ -432,7 +462,7 @@ impl Engine {
             // for a superseded graph version — correct to *return* (the
             // query linearizes at lookup time) but wrong to *cache*.
             if !self.is_degraded() && self.epoch() == epoch_at_lookup {
-                shared.cache.insert(key, compiled, Arc::clone(&answer));
+                shared.cache.insert(compiled, Arc::clone(&answer));
             }
         }
         Ok(QueryResult {
@@ -532,28 +562,42 @@ impl Engine {
         Ok(q.evaluate_from_governed(&db, source, &gov)?)
     }
 
-    /// Serve a batch: queries are deduplicated by cache key, the first
-    /// query of each key runs in input order (each one's answer seeds the
+    /// Serve a batch: each query is pre-flighted and compiled once, the
+    /// batch is deduplicated on the resulting cache keys, the first query
+    /// of each key is served in input order (each one's answer seeds the
     /// cache for the rest), and each evaluation fans out across the pool.
     pub fn run_batch(&self, queries: &[TwoRpq]) -> BatchReport {
         let mut span = span::start("engine.batch");
         let batch_start = std::time::Instant::now();
         let stats_before = self.cache_stats();
-        let keys: Vec<String> = {
-            let shared = self.shared();
+        let prepared: Vec<(String, Prepared)> = {
+            let mut shared = self.shared();
+            let Shared { alphabet, cache } = &mut *shared;
             queries
                 .iter()
-                .map(|q| shared.cache.key_of(q, &shared.alphabet))
+                .map(|q| match self.preflight(q, alphabet) {
+                    None => (EMPTY_KEY.to_string(), Prepared::Empty),
+                    Some(q) => {
+                        let compiled = cache.compile(&q, alphabet);
+                        (
+                            compiled.cache_key().to_string(),
+                            Prepared::Compiled(compiled),
+                        )
+                    }
+                })
                 .collect()
         };
         let mut items: Vec<BatchItem> = Vec::with_capacity(queries.len());
-        for (index, key) in keys.into_iter().enumerate() {
+        for (index, (key, prepared)) in prepared.into_iter().enumerate() {
             let (disposition, outcome) = match items.iter().find(|item| item.key == key) {
                 Some(first) => (Disposition::Deduped, first.outcome.clone()),
-                None => match self.run(&queries[index]) {
-                    Ok(r) => (r.disposition, Ok(r.answer)),
-                    Err(e) => (Disposition::Miss, Err(e)),
-                },
+                None => {
+                    let limits = &self.config.limits;
+                    match self.traced(|| self.serve(prepared, self.shared(), limits, None)) {
+                        Ok(r) => (r.disposition, Ok(r.answer)),
+                        Err(e) => (Disposition::Miss, Err(e)),
+                    }
+                }
             };
             items.push(BatchItem {
                 index,
@@ -586,9 +630,10 @@ impl Engine {
 
     /// Evaluate a query, given by its ε-free `automaton`, from every
     /// source in `sources` (ascending, distinct) across the pool, one
-    /// governed product BFS per source. `Cow::Owned` is the compiled
-    /// query's DFA ([`rq_core::canonical::CompiledQuery::automaton`]);
-    /// fuel is one unit per product edge of whichever automaton runs.
+    /// governed product BFS per source. `kind` names the automaton for
+    /// the `engine.eval` span: `"dfa"` or `"nfa"`, as chosen at compile
+    /// time ([`rq_core::canonical::CompiledQuery::automaton`]); fuel is
+    /// one unit per product edge of whichever automaton runs.
     ///
     /// Stripe `s` of `k` owns the contiguous slice
     /// `sources[s·n/k .. (s+1)·n/k]` and harvests it into one source-major
@@ -610,7 +655,8 @@ impl Engine {
     /// returned or cached.
     fn eval_sources(
         &self,
-        automaton: Cow<'_, Nfa>,
+        nfa: Arc<Nfa>,
+        kind: &'static str,
         db: &Arc<GraphDb>,
         sources: Vec<NodeId>,
         limits: &Limits,
@@ -624,20 +670,14 @@ impl Engine {
         if eval_span.active() {
             eval_span.record("sources", sources.len());
             eval_span.record("stripes", stripes);
-            let kind = if matches!(automaton, Cow::Owned(_)) {
-                "dfa"
-            } else {
-                "nfa"
-            };
             eval_span.record("automaton", kind);
-            eval_span.record("automaton_states", automaton.num_states());
+            eval_span.record("automaton_states", nfa.num_states());
         }
         // Hand the request's trace to every stripe, parented under the
         // eval span, so worker-side spans (stripe, per-source BFS) land
         // in the same tree even though they run on pool threads.
         let trace_parent = span::current_context().map(|(ctx, _)| (ctx, eval_span.id()));
         let db = Arc::clone(db);
-        let nfa = Arc::new(automaton.into_owned());
         let sources: Arc<[NodeId]> = sources.into();
         let limits = limits.clone();
         let results = run_stripes(&self.pool, stripes, move |s, peer_cancel| {

@@ -15,10 +15,11 @@
 //! [`Governor::unlimited`], which never exhausts.
 //!
 //! The automaton is any ε-free [`Nfa`]. The engine's misses and subsumed
-//! hits pass the compiled query's trimmed minimal DFA in that form
-//! (`CompiledQuery::automaton`) when it has no more transitions than the
-//! query's NFA; everything else passes the NFA of `TwoRpq::new`. Fuel is
-//! one unit per product edge of whichever automaton runs.
+//! hits pass the one `CompiledQuery::automaton` chose when it compiled
+//! the query: its trimmed minimal DFA in that form when it has no more
+//! transitions than the query's NFA, that NFA otherwise; everything else
+//! passes the NFA of `TwoRpq::new`. Fuel is one unit per product edge of
+//! whichever automaton runs.
 //!
 //! Answers are harvested flat. One drain loop appends each source's final
 //! nodes to a row `Vec`, deduplicated by epoch-stamped marks reused across

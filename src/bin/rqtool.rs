@@ -112,6 +112,38 @@ use regular_queries::metrics::json::Json;
 use regular_queries::prelude::*;
 use std::process::ExitCode;
 
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// The one writer behind everything rqtool prints to stdout. A reader
+/// that closes the pipe early (`rqtool lint … | grep -q …`) has read all
+/// it wants, so a broken pipe ends the process quietly with status 0;
+/// any other write error exits 1 with a message.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (flags, positional): (Vec<&String>, Vec<&String>) =
@@ -255,7 +287,7 @@ fn parse_limits(flags: &[&String]) -> Result<Limits, String> {
 /// verdict so the user sees how far the search got before it stopped.
 fn print_partial_progress(out: &Outcome) {
     if let Some(r) = out.report() {
-        println!("  partial progress: {}", r.counters);
+        outln!("  partial progress: {}", r.counters);
     }
 }
 
@@ -298,7 +330,7 @@ fn cmd_convert(graph: &str, dir: &str, flags: &[&String]) -> Result<(), String> 
     std::fs::create_dir_all(dir).map_err(|e| format!("error[io]: cannot create {dir}: {e}"))?;
     let shards = config.shards;
     StorageHandle::create(std::path::Path::new(dir), &db, config).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "converted {graph} -> {dir}: {} nodes, {} labels, {} shards",
         db.num_nodes(),
         db.alphabet().len(),
@@ -314,7 +346,7 @@ fn cmd_compact(dir: &str, flags: &[&String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
     let folded = report.replayed;
     handle.compact(&db).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "compacted {dir}: folded {folded} log deltas into a snapshot of {} nodes at epoch {}",
         db.num_nodes(),
         handle.epoch()
@@ -342,7 +374,7 @@ fn cmd_ingest(dir: &str, deltas_path: &str, flags: &[&String]) -> Result<(), Str
         handle.compact(&db).map_err(|e| e.to_string())?;
         compacted = true;
     }
-    println!(
+    outln!(
         "ingested {} deltas into {dir} ({applied} effective, epoch {}{})",
         deltas.len(),
         handle.epoch(),
@@ -368,21 +400,21 @@ fn cmd_eval(graph: &str, query: &str, from: Option<&str>, want_dot: bool) -> Res
                 .find_node(name)
                 .ok_or_else(|| format!("no node named {name}"))?;
             let ans = q.evaluate_from(&db, src);
-            println!("{} answers from {name}:", ans.len());
+            outln!("{} answers from {name}:", ans.len());
             for n in &ans {
-                println!("  {}", db.display_node(*n));
+                outln!("  {}", db.display_node(*n));
             }
         }
         None => {
             let ans = q.evaluate(&db);
-            println!("{} answer pairs:", ans.len());
+            outln!("{} answer pairs:", ans.len());
             for (x, y) in &ans {
-                println!("  {} ⇒ {}", db.display_node(*x), db.display_node(*y));
+                outln!("  {} ⇒ {}", db.display_node(*x), db.display_node(*y));
             }
         }
     }
     if want_dot {
-        println!("\n{}", to_dot(&db, &DotOptions::default()));
+        outln!("\n{}", to_dot(&db, &DotOptions::default()));
     }
     Ok(())
 }
@@ -397,7 +429,7 @@ fn cmd_contain(s1: &str, s2: &str, want_dot: bool, limits: &Limits) -> Result<()
             Ok(out) => out,
             Err(e) => Outcome::exhausted(e),
         };
-        println!("{label}: {out}");
+        outln!("{label}: {out}");
         print_partial_progress(&out);
         if let Some(w) = out.witness() {
             if want_dot {
@@ -409,10 +441,10 @@ fn cmd_contain(s1: &str, s2: &str, want_dot: bool, limits: &Limits) -> Result<()
                         horizontal: true,
                     },
                 );
-                println!("{dot}");
+                outln!("{dot}");
             } else {
                 for line in text::to_text(&w.db).lines() {
-                    println!("    {line}");
+                    outln!("    {line}");
                 }
             }
         }
@@ -424,7 +456,7 @@ fn cmd_simplify(query: &str) -> Result<(), String> {
     let mut al = Alphabet::new();
     let e = regular_queries::automata::regex::parse(query, &mut al).map_err(|e| e.to_string())?;
     let out = simplify(&e);
-    println!("{}", out.display(&al));
+    outln!("{}", out.display(&al));
     if out.size() < e.size() {
         eprintln!("({} → {} AST nodes)", e.size(), out.size());
     }
@@ -441,15 +473,15 @@ fn cmd_datalog(program: &str, goal: &str, graph: &str, limits: &Limits) -> Resul
     let gov = limits.governor();
     match regular_queries::datalog::evaluate_governed(&q, &facts, &gov) {
         Ok(rel) => {
-            println!("{} facts for {goal}:", rel.len());
+            outln!("{} facts for {goal}:", rel.len());
             for t in rel.iter() {
                 let names: Vec<&str> = t.iter().map(|&v| facts.value_name(v)).collect();
-                println!("  {goal}({})", names.join(", "));
+                outln!("  {goal}({})", names.join(", "));
             }
         }
         Err(e) => {
-            println!("evaluation stopped early: {e}");
-            println!("  partial progress: {}", e.counters);
+            outln!("evaluation stopped early: {e}");
+            outln!("  partial progress: {}", e.counters);
         }
     }
     Ok(())
@@ -460,18 +492,18 @@ fn cmd_recognize(program: &str) -> Result<(), String> {
     let p = parse_program(&content).map_err(|e| format!("error[parse]: {program}: {e}"))?;
     validate_program(&p).map_err(|e| format!("error[parse]: {program}: {e}"))?;
     let dg = DepGraph::new(&p);
-    println!("predicates : {}", dg.predicates.join(", "));
-    println!("recursive  : {}", dg.recursive_predicates().join(", "));
-    println!("nonrecursive program? {}", is_nonrecursive(&p));
-    println!("Monadic Datalog?      {}", is_monadic(&p));
+    outln!("predicates : {}", dg.predicates.join(", "));
+    outln!("recursive  : {}", dg.recursive_predicates().join(", "));
+    outln!("nonrecursive program? {}", is_nonrecursive(&p));
+    outln!("Monadic Datalog?      {}", is_monadic(&p));
     match analyze_grq(&p) {
         Ok(a) => {
-            println!("GRQ?                  yes");
+            outln!("GRQ?                  yes");
             for tc in &a.tc_defs {
-                println!("  {} = TC({}) [{:?}]", tc.tc_pred, tc.base_pred, tc.step);
+                outln!("  {} = TC({}) [{:?}]", tc.tc_pred, tc.base_pred, tc.step);
             }
         }
-        Err(v) => println!("GRQ?                  no — {v}"),
+        Err(v) => outln!("GRQ?                  no — {v}"),
     }
     Ok(())
 }
@@ -482,8 +514,8 @@ fn cmd_to_datalog(query: &str) -> Result<(), String> {
     let q = RqQuery::new(vec!["x".into(), "y".into()], RqExpr::rel2(rel, "x", "y"))
         .map_err(|e| e.to_string())?;
     let dq = regular_queries::core::translate::rq_to_datalog(&q, &al);
-    print!("{}", dq.program);
-    println!("% goal: {}", dq.goal);
+    out!("{}", dq.program);
+    outln!("% goal: {}", dq.goal);
     Ok(())
 }
 
@@ -547,29 +579,29 @@ fn cmd_serve_batch(
     let report = engine.run_batch(&queries);
     let elapsed = start.elapsed();
     if output == ServeOutput::Report {
-        println!(
+        outln!(
             "served {} queries on {} threads in {elapsed:.1?}",
             queries.len(),
             engine.threads()
         );
         for item in &report.items {
             match &item.outcome {
-                Ok(answer) => println!(
+                Ok(answer) => outln!(
                     "  [{:<10}] {:<24} {} pairs",
                     item.disposition.to_string(),
                     texts[item.index],
                     answer.len()
                 ),
-                Err(e) => println!("  [stopped   ] {:<24} {e}", texts[item.index]),
+                Err(e) => outln!("  [stopped   ] {:<24} {e}", texts[item.index]),
             }
         }
-        println!("cache: {}", report.stats);
+        outln!("cache: {}", report.stats);
     }
     if output == ServeOutput::MetricsOnly || flags.iter().any(|f| *f == "--metrics") {
         if output == ServeOutput::Report {
-            println!();
+            outln!();
         }
-        print!("{}", regular_queries::metrics::global().render());
+        out!("{}", regular_queries::metrics::global().render());
     }
     Ok(())
 }
@@ -604,10 +636,10 @@ fn cmd_explain(graph: &str, query: &str, flags: &[&String]) -> Result<(), String
     };
     let trace = ctx.finish(&outcome, query);
     match &result {
-        Ok(r) => println!("{} [{}]: {} pairs\n", query, r.disposition, r.answer.len()),
-        Err(e) => println!("{query}: stopped early: {e}\n"),
+        Ok(r) => outln!("{} [{}]: {} pairs\n", query, r.disposition, r.answer.len()),
+        Err(e) => outln!("{query}: stopped early: {e}\n"),
     }
-    println!("{}", trace.render());
+    outln!("{}", trace.render());
     Ok(())
 }
 
@@ -714,7 +746,7 @@ fn cmd_serve(graph: Option<&str>, flags: &[&String], limits: &Limits) -> Result<
         (None, None) => return Err(usage()),
     };
     let server = Server::start_with_store(engine, cfg, store).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "rq-serve listening on {} ({} workers, {} engine threads); SIGTERM or POST /drainz to drain",
         server.addr(),
         flag_u64(flags, "workers", ServeConfig::default().workers as u64)?,
@@ -768,9 +800,11 @@ fn cmd_bench_serve(
             return Err(format!("error[io]: no queries in {path}"));
         }
     }
-    println!(
+    outln!(
         "bench-serve: {} clients closed-loop for {:?} against {}",
-        bench.clients, bench.duration, bench.addr
+        bench.clients,
+        bench.duration,
+        bench.addr
     );
     // `--ingest-every-ms=N` arms a background writer that POSTs one
     // `a`-labeled edge delta every N ms while the clients run — the
@@ -811,9 +845,9 @@ fn cmd_bench_serve(
     stop_ingest.store(true, std::sync::atomic::Ordering::SeqCst);
     if let Some(h) = ingester {
         let sent = h.join().unwrap_or(0);
-        println!("ingest load: {sent} delta batches every {ingest_every}ms");
+        outln!("ingest load: {sent} delta batches every {ingest_every}ms");
     }
-    println!("{}", report.summary());
+    outln!("{}", report.summary());
     server.shutdown();
     Ok(())
 }
@@ -829,10 +863,10 @@ fn cmd_eval_cq(graph: &str, query: &str) -> Result<(), String> {
     let mut al = db.alphabet().clone();
     let q = load_uc2rpq(query, &mut al)?;
     let ans = q.evaluate(&db);
-    println!("{} answer tuples:", ans.len());
+    outln!("{} answer tuples:", ans.len());
     for t in &ans {
         let names: Vec<String> = t.iter().map(|&n| db.display_node(n)).collect();
-        println!("  ({})", names.join(", "));
+        outln!("  ({})", names.join(", "));
     }
     Ok(())
 }
@@ -848,14 +882,14 @@ fn cmd_contain_cq(p1: &str, p2: &str, limits: &Limits) -> Result<(), String> {
     };
     for (label, a, b) in [("Q1 ⊑ Q2", &q1, &q2), ("Q2 ⊑ Q1", &q2, &q1)] {
         let out = uc2rpq::check(a, b, &al, &cfg);
-        println!("{label}: {out}");
+        outln!("{label}: {out}");
         print_partial_progress(&out);
         if let Some(w) = out.witness() {
             for line in text::to_text(&w.db).lines() {
-                println!("    {line}");
+                outln!("    {line}");
             }
             let names: Vec<String> = w.tuple.iter().map(|&n| w.db.display_node(n)).collect();
-            println!("  distinguished tuple: ({})", names.join(", "));
+            outln!("  distinguished tuple: ({})", names.join(", "));
         }
     }
     Ok(())
@@ -872,10 +906,10 @@ fn cmd_eval_rq(graph: &str, query: &str, goal: Option<&str>) -> Result<(), Strin
     let mut al = db.alphabet().clone();
     let q = load_rq(query, goal, &mut al)?;
     let ans = q.evaluate(&db);
-    println!("{} answer tuples:", ans.len());
+    outln!("{} answer tuples:", ans.len());
     for t in &ans {
         let names: Vec<String> = t.iter().map(|&n| db.display_node(n)).collect();
-        println!("  ({})", names.join(", "));
+        outln!("  ({})", names.join(", "));
     }
     Ok(())
 }
@@ -891,11 +925,11 @@ fn cmd_contain_rq(p1: &str, p2: &str, limits: &Limits) -> Result<(), String> {
     };
     for (label, a, b) in [("Q1 ⊑ Q2", &q1, &q2), ("Q2 ⊑ Q1", &q2, &q1)] {
         let out = rq::check(a, b, &al, &cfg);
-        println!("{label}: {out}");
+        outln!("{label}: {out}");
         print_partial_progress(&out);
         if let Some(w) = out.witness() {
             for line in text::to_text(&w.db).lines() {
-                println!("    {line}");
+                outln!("    {line}");
             }
         }
     }
@@ -966,14 +1000,14 @@ fn cmd_lint(
                 })
                 .collect(),
         );
-        println!("{}", arr.emit());
+        outln!("{}", arr.emit());
     } else {
         for (origin, report) in &entries {
             if !report.is_clean() {
-                println!("{}", report.render_text(origin));
+                outln!("{}", report.render_text(origin));
             }
         }
-        println!(
+        outln!(
             "{total} finding(s) ({errors} error(s)) across {} input(s)",
             entries.len()
         );

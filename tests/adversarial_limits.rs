@@ -190,3 +190,75 @@ fn timeout_mid_subsumption_reevaluation_is_structured() {
     assert_eq!(ok.disposition, Disposition::Subsumed);
     assert_eq!(*ok.answer, small.evaluate(&eng.db()));
 }
+
+/// `a (a|b)ⁿ | (a|b)* a (a|b)ⁿ` at n = 20, 252 bytes of text. Its second
+/// branch needs 2ⁿ⁺¹ subset states, and its first branch is contained in
+/// it, so any unmetered language-level rewrite of the union (branch
+/// absorption, subset construction) runs for seconds to hours.
+fn hostile_union() -> String {
+    let pad = " (a|b)".repeat(20);
+    let text = format!("a{pad} | (a|b)* a{pad}");
+    assert_eq!(text.len(), 252);
+    text
+}
+
+#[test]
+fn hostile_union_is_served_within_its_deadline_without_blocking_hits() {
+    use regular_queries::graph::generate;
+    let db = generate::random_gnm(30, 90, &["a", "b"], 7);
+    let eng = Engine::new(
+        db,
+        EngineConfig {
+            threads: 2,
+            ..EngineConfig::default()
+        },
+    );
+    let hot = eng.parse("a b").expect("valid 2RPQ");
+    assert_eq!(
+        eng.run(&hot).expect("seeding run").disposition,
+        Disposition::Miss
+    );
+    let hostile = eng.parse(&hostile_union()).expect("valid 2RPQ");
+    let deadline = Limits::unlimited().with_deadline(Duration::from_millis(100));
+    std::thread::scope(|s| {
+        let served = s.spawn(|| {
+            let start = Instant::now();
+            let result = eng.run_with(&hostile, &deadline, None);
+            (result, start.elapsed())
+        });
+        // An exact hit sent while the hostile query is being served must
+        // not queue behind it.
+        std::thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        let hit = eng.run(&hot).expect("exact hit");
+        let waited = start.elapsed();
+        assert_eq!(hit.disposition, Disposition::Exact);
+        assert!(
+            waited < Duration::from_secs(1),
+            "the exact hit took {waited:?}"
+        );
+        let (result, elapsed) = served.join().expect("no panic");
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "the 100ms request ran for {elapsed:?}"
+        );
+        match result {
+            Ok(r) => assert_eq!(*r.answer, hostile.evaluate(&eng.db())),
+            Err(EngineError::Exhausted(_)) => {}
+            Err(other) => panic!("expected an answer or an exhaustion, got {other:?}"),
+        }
+    });
+}
+
+#[test]
+fn hostile_union_lints_within_the_probe_budget() {
+    let mut al = Alphabet::new();
+    let text = format!("({}) c | d", hostile_union());
+    let q = TwoRpq::parse(&text, &mut al).expect("valid 2RPQ");
+    let limits = regular_queries::engine::CacheConfig::default().probe_limits;
+    let start = Instant::now();
+    let report = regular_queries::analyze::lint_two_rpq(&q, &al, &limits);
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(2), "lint ran for {elapsed:?}");
+    assert!(!report.diagnostics.is_empty(), "the info lints still fire");
+}

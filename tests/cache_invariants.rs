@@ -8,12 +8,15 @@
 //! * answers served through the *subsumed* path (filtering a superset)
 //!   are byte-identical to a cold evaluation of the same query;
 //! * canonical keys depend only on the query's language — not on the
-//!   alphabet's interning order or the argument order of a union;
+//!   alphabet's interning order or the argument order of a union — and
+//!   determinizing a query's own NFA keys it exactly as its simplified
+//!   regex would;
 //! * probes that exhaust their budget are counted as `probe_exhausted`,
 //!   never as proven non-containment.
 
 use regular_queries::automata::random::{random_regex, RegexConfig, SplitMix64};
-use regular_queries::core::canonical::canonical_key;
+use regular_queries::automata::regex::simplify;
+use regular_queries::core::canonical::CompiledQuery;
 use regular_queries::engine::{CacheConfig, Lookup, SemanticCache};
 use regular_queries::graph::generate;
 use regular_queries::prelude::*;
@@ -61,15 +64,12 @@ fn eviction_never_drops_the_probe_window() {
     let mut rng = SplitMix64::new(99);
     for step in 0..200 {
         let q = &queries[rng.below(queries.len())];
-        let key = cache.key_of(q, &al);
-        match cache.lookup(&cache.compile(q, &al), &key, &al) {
+        let compiled = cache.compile(q, &al);
+        let key = compiled.cache_key().to_string();
+        match cache.lookup(&compiled, &al) {
             Lookup::Exact(_) => touch(&mut recency, &key),
             _ => {
-                cache.insert(
-                    key.clone(),
-                    cache.compile(q, &al),
-                    Arc::new(q.evaluate(&db)),
-                );
+                cache.insert(compiled, Arc::new(q.evaluate(&db)));
                 touch(&mut recency, &key);
             }
         }
@@ -132,6 +132,15 @@ fn subsumed_answers_match_cold_evaluation() {
     );
 }
 
+/// The canonical key of `q`, unmetered.
+fn canonical_key(q: &TwoRpq, al: &Alphabet) -> String {
+    let key = CompiledQuery::new(q, al, &Governor::unlimited())
+        .cache_key()
+        .to_string();
+    assert!(key.starts_with("dfa:"), "an unmetered key is canonical");
+    key
+}
+
 #[test]
 fn canonical_key_ignores_interning_and_union_order() {
     let mut rng = SplitMix64::new(7_777);
@@ -179,11 +188,9 @@ fn starved_probes_count_as_exhausted_not_miss_evidence() {
     // only the metered exact stage can decide it.
     let big = TwoRpq::parse("(a|a-)+", &mut al).unwrap();
     let small = TwoRpq::parse("a+", &mut al).unwrap();
-    let kb = cache.key_of(&big, &al);
-    cache.insert(kb, cache.compile(&big, &al), Arc::new(big.evaluate(&db)));
-    let ks = cache.key_of(&small, &al);
+    cache.insert(cache.compile(&big, &al), Arc::new(big.evaluate(&db)));
     assert!(matches!(
-        cache.lookup(&cache.compile(&small, &al), &ks, &al),
+        cache.lookup(&cache.compile(&small, &al), &al),
         Lookup::Miss
     ));
     let stats = cache.stats();
@@ -195,11 +202,9 @@ fn starved_probes_count_as_exhausted_not_miss_evidence() {
     // With a real budget the same pair is a subsumption hit, proving the
     // earlier miss was a budget artifact rather than non-containment.
     let mut roomy = SemanticCache::new(CacheConfig::default());
-    let kb = roomy.key_of(&big, &al);
-    roomy.insert(kb, roomy.compile(&big, &al), Arc::new(big.evaluate(&db)));
-    let ks = roomy.key_of(&small, &al);
+    roomy.insert(roomy.compile(&big, &al), Arc::new(big.evaluate(&db)));
     assert!(matches!(
-        roomy.lookup(&roomy.compile(&small, &al), &ks, &al),
+        roomy.lookup(&roomy.compile(&small, &al), &al),
         Lookup::Subsumed { .. }
     ));
     assert_eq!(roomy.stats().probe_exhausted, 0);
@@ -218,12 +223,83 @@ fn starved_probes_still_decide_simple_pairs_through_compiled_artefacts() {
     });
     let big = TwoRpq::parse("(a|b)+", &mut al).unwrap();
     let small = TwoRpq::parse("a+", &mut al).unwrap();
-    let kb = cache.key_of(&big, &al);
-    cache.insert(kb, cache.compile(&big, &al), Arc::new(big.evaluate(&db)));
-    let ks = cache.key_of(&small, &al);
-    match cache.lookup(&cache.compile(&small, &al), &ks, &al) {
+    cache.insert(cache.compile(&big, &al), Arc::new(big.evaluate(&db)));
+    match cache.lookup(&cache.compile(&small, &al), &al) {
         Lookup::Subsumed { superset, .. } => assert!(small.evaluate(&db).is_subset(&superset)),
         other => panic!("expected a subsumption hit, got {}", other.kind()),
     }
     assert_eq!(cache.stats().probe_exhausted, 0, "{}", cache.stats());
+}
+
+/// Every query the experiments and the serving benchmark's pools serve
+/// (E4, E12, E13, the E14 stream with its cold chains, E17), each with
+/// the alphabet it was built over.
+fn pool_queries() -> Vec<(TwoRpq, Alphabet)> {
+    use rq_bench::workloads::*;
+    let mut queries = Vec::new();
+    let mut pair = |(q1, q2, al): (TwoRpq, TwoRpq, Alphabet)| {
+        queries.push((q1, al.clone()));
+        queries.push((q2, al));
+    };
+    for n in 1..=6 {
+        pair(e4_paper_family(n));
+        pair(e4_refuted_family(n));
+    }
+    for leaves in [4, 6, 8] {
+        for seed in 0..30 {
+            pair(e4_random_pair(leaves, seed));
+        }
+    }
+    let ab = ab_alphabet();
+    for (_, detour, union) in e13_fold_pairs() {
+        queries.push((detour, ab.clone()));
+        queries.push((union, ab.clone()));
+    }
+    for empty in e13_empty_queries() {
+        queries.push((empty, ab.clone()));
+    }
+    let texts = e12_batch(8)
+        .into_iter()
+        .chain(e14_stream())
+        .chain(e17_simple_batch(12));
+    for text in texts {
+        let mut al = ab.clone();
+        let q = TwoRpq::parse(&text, &mut al).expect("pool queries parse");
+        queries.push((q, al));
+    }
+    queries
+}
+
+#[test]
+fn keys_from_the_querys_own_nfa_match_its_simplified_regex() {
+    // Keying determinizes the query's own NFA; no `simplify` runs first.
+    // The minimal DFA depends only on the language, so every key must be
+    // byte-identical to the key of the simplified regex.
+    let pool = pool_queries();
+    assert!(pool.len() > 700, "{} pool queries", pool.len());
+    let ab = Alphabet::from_names(["a", "b"]);
+    let mut rng = SplitMix64::new(2_028);
+    let random = (0..600).map(|i| (random_two_rpq(&mut rng, 3 + i % 5), ab.clone()));
+    let unlimited = Governor::unlimited();
+    for (q, al) in pool.iter().cloned().chain(random) {
+        let simplified = TwoRpq::new(simplify(q.regex()));
+        let own = CompiledQuery::new(&q, &al, &unlimited);
+        let other = CompiledQuery::new(&simplified, &al, &unlimited);
+        assert_eq!(
+            own.cache_key(),
+            other.cache_key(),
+            "{} keys apart from its simplified form",
+            q.regex().display(&al)
+        );
+    }
+    // Under the serving key budget every pool query still keys canonically.
+    let cache = SemanticCache::new(CacheConfig::default());
+    for (q, al) in &pool {
+        let key = cache.key_of(q, al);
+        assert!(
+            key.starts_with("dfa:"),
+            "{} starved the default key budget: {key}",
+            q.regex().display(al)
+        );
+    }
 }

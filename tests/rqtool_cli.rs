@@ -264,6 +264,28 @@ fn lint_clean_input_exits_zero() {
 }
 
 #[test]
+fn lint_exits_quietly_when_stdout_closes_early() {
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rqtool"))
+        .args([
+            "lint",
+            &format!("{}/examples/data", env!("CARGO_MANIFEST_DIR")),
+            "--json",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("rqtool runs");
+    // Close the read end before the report is written, as `| grep -q`
+    // does once it has matched.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("rqtool exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn rq_commands() {
     let (stdout, _, ok) = rqtool(&["eval-rq", &data("social.graph"), &data("reach.rq")]);
     assert!(ok);
