@@ -99,7 +99,7 @@ pub const RULES: &[RuleInfo] = &[
         slug: "subsumed-union-branch",
         severity: Severity::Warning,
         class: "automata",
-        justification: "if rᵢ ⊑ rⱼ the branch rᵢ is redundant; the quick ladder decides it by the Lemma 1 rung when rⱼ is one-way and by the exact fold/2NFA stage (Lemmas 2–4) when rⱼ reads an inverse letter",
+        justification: "if rᵢ ⊑ rⱼ the branch rᵢ is redundant; the quick ladder decides it by the Lemma 1 rung when rⱼ is one-way; when rⱼ reads an inverse letter, the sample rung refutes what it can and the exact fold/2NFA stage (Lemmas 2–4) decides the rest",
         complexity: "O(k²·c) for k branches",
     },
     RuleInfo {
@@ -115,7 +115,7 @@ pub const RULES: &[RuleInfo] = &[
         slug: "inverse-letter",
         severity: Severity::Info,
         class: "automata",
-        justification: "Q1 ⊑ Q iff L(Q1) ⊆ fold(L(Q)) (Lemma 2), and fold(L(Q)) = L(Q) is guaranteed only for a one-way Q, so probes into a query with an inverse letter reach the exact fold/2NFA stage; the span points at the first inverse letter",
+        justification: "Q1 ⊑ Q iff L(Q1) ⊆ fold(L(Q)) (Lemma 2), and fold(L(Q)) = L(Q) is guaranteed only for a one-way Q, so probes into a query with an inverse letter meet the sample rung first (a short word of L(Q1) outside fold(L(Q)) refutes them in polynomial time) and only unrefuted ones reach the exact fold/2NFA stage; the span points at the first inverse letter",
         complexity: "O(n)",
     },
     RuleInfo {

@@ -203,7 +203,8 @@ fn subsumed_union_branches(e: &Regex, alphabet: &Alphabet, limits: &Limits, repo
 /// `Q1 ⊑ Q` iff `L(Q1) ⊆ fold(L(Q))`, and `fold(L(Q)) = L(Q)` when `Q`
 /// is one-way, so probes into a one-way query (RQA006) are decided by the
 /// Lemma 1 rung over its minimal DFA, while probes into a query with an
-/// inverse letter (RQA007) reach the exact fold/2NFA stage. Info either
+/// inverse letter (RQA007) meet the sample rung first, and only the ones
+/// no sampled word refutes reach the exact fold/2NFA stage. Info either
 /// way. RQA007 points at the first inverse letter, located in `source`
 /// when the caller still has the text.
 fn ladder_route(e: &Regex, source: Option<&str>, alphabet: &Alphabet, report: &mut Report) {
@@ -222,12 +223,15 @@ fn ladder_route(e: &Regex, source: Option<&str>, alphabet: &Alphabet, report: &m
     let mut d = diag(
         "RQA007",
         format!(
-            "query reads the inverse letter `{}`: containment probes into it reach the exact \
-             fold/2NFA stage",
+            "query reads the inverse letter `{}`: containment probes into it meet the sample \
+             rung first, and only unrefuted ones reach the exact fold/2NFA stage",
             alphabet.letter_name(inverse)
         ),
     )
-    .with_note("Q1 ⊑ Q iff L(Q1) ⊆ fold(L(Q)) (Lemma 2), decided over the Lemma 3 fold 2NFA");
+    .with_note(
+        "Q1 ⊑ Q iff L(Q1) ⊆ fold(L(Q)) (Lemma 2): a short word of L(Q1) outside fold(L(Q)) \
+         refutes it in polynomial time, otherwise it is decided over the Lemma 3 fold 2NFA",
+    );
     if let Some(span) =
         source.and_then(|src| locate_subterm(src, &Regex::Letter(inverse), alphabet))
     {
@@ -346,7 +350,12 @@ mod tests {
         let d = &r.diagnostics[0];
         assert_eq!(d.span, Some(Span::new(1, 3)), "{:?}", d);
         assert!(d.message.contains("`b-`"), "{}", d.message);
-        assert!(d.message.contains("exact fold/2NFA stage"), "{}", d.message);
+        assert!(
+            d.message
+                .contains("meet the sample rung first, and only unrefuted ones reach"),
+            "{}",
+            d.message
+        );
     }
 
     #[test]

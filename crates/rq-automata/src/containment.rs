@@ -60,8 +60,8 @@ pub fn check_on_the_fly_governed(
     a2: &Nfa,
     gov: &Governor,
 ) -> Result<ContainmentRun, Exhaustion> {
-    let a1 = a1.eliminate_epsilon();
-    let a2 = a2.eliminate_epsilon();
+    let a1 = a1.epsilon_free();
+    let a2 = a2.epsilon_free();
     let mut det = LazyDeterminizer::new_governed(&a2, gov)?;
 
     // Product state: (NFA state of a1, Option<lazy DFA state of a2>).
@@ -119,13 +119,7 @@ pub fn check_on_the_fly_governed(
 /// visits at most `|a1| · (|d2| + 1)` product states and is not metered;
 /// BFS order still yields a shortest counterexample word.
 pub fn check_against_dfa(a1: &Nfa, d2: &Dfa) -> ContainmentRun {
-    let clean;
-    let a1 = if a1.has_epsilon() {
-        clean = a1.eliminate_epsilon();
-        &clean
-    } else {
-        a1
-    };
+    let a1 = a1.epsilon_free();
     // Product state: (NFA state of a1, state of d2 or DEAD). Each seen
     // state maps to its BFS parent and the letter that reached it.
     type Prod = (usize, usize);

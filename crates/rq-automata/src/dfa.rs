@@ -49,13 +49,7 @@ impl Dfa {
         letters: &[Letter],
         gov: &Governor,
     ) -> Result<Dfa, Exhaustion> {
-        let clean;
-        let nfa = if nfa.has_epsilon() {
-            clean = nfa.eliminate_epsilon();
-            &clean
-        } else {
-            nfa
-        };
+        let nfa = nfa.epsilon_free();
         let start: BTreeSet<State> = nfa.epsilon_closure(nfa.initial_states());
         let mut index: HashMap<BTreeSet<State>, usize> = HashMap::new();
         let mut sets: Vec<BTreeSet<State>> = vec![start.clone()];

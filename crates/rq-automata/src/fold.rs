@@ -56,7 +56,7 @@ pub fn folds_onto(v: &[Letter], u: &[Letter]) -> bool {
 /// moves reading `(u_i)⁻ = x`. Polynomial time; the reference oracle for
 /// testing the Lemma 3 construction.
 pub fn fold_membership(a: &Nfa, u: &[Letter]) -> bool {
-    let a = a.eliminate_epsilon();
+    let a = a.epsilon_free();
     let n = u.len();
     let mut seen = vec![false; a.num_states() * (n + 1)];
     let mut stack: Vec<(usize, usize)> = Vec::new();
@@ -97,7 +97,7 @@ pub fn fold_membership(a: &Nfa, u: &[Letter]) -> bool {
 /// of `b` (reading `b⁻` in `v`); the verify state moves left and confirms
 /// the guessed letter with a 0-move.
 pub fn fold_twonfa(a: &Nfa, sigma_pm: &[Letter]) -> TwoNfa {
-    let a = a.eliminate_epsilon();
+    let a = a.epsilon_free();
     let n = a.num_states();
     let k = sigma_pm.len();
     let letter_pos = |b: Letter| -> usize {

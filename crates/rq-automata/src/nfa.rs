@@ -9,6 +9,7 @@
 
 use crate::alphabet::Letter;
 use crate::regex::Regex;
+use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 
 /// State index within an [`Nfa`].
@@ -265,6 +266,16 @@ impl Nfa {
     // Transformations
     // ------------------------------------------------------------------
 
+    /// This automaton without ε-transitions: borrowed when it has none,
+    /// otherwise [`Nfa::eliminate_epsilon`]'s copy.
+    pub fn epsilon_free(&self) -> Cow<'_, Nfa> {
+        if self.has_epsilon() {
+            Cow::Owned(self.eliminate_epsilon())
+        } else {
+            Cow::Borrowed(self)
+        }
+    }
+
     /// An equivalent automaton without ε-transitions.
     pub fn eliminate_epsilon(&self) -> Nfa {
         if !self.has_epsilon() {
@@ -272,8 +283,27 @@ impl Nfa {
         }
         let n = self.num_states();
         let mut out = Nfa::with_states(n);
+        // `seen[u] == s` marks `u` as in the closure of `s`, so one buffer
+        // serves every state's closure.
+        let mut seen = vec![usize::MAX; n];
+        let mut closure = Vec::new();
+        let mut stack = Vec::new();
         for s in 0..n {
-            let closure = self.epsilon_closure([s]);
+            closure.clear();
+            seen[s] = s;
+            stack.push(s);
+            while let Some(u) = stack.pop() {
+                closure.push(u);
+                for &t in &self.epsilon[u] {
+                    if seen[t] != s {
+                        seen[t] = s;
+                        stack.push(t);
+                    }
+                }
+            }
+            // Ascending, as `epsilon_closure` iterates, so the transition
+            // order is the same.
+            closure.sort_unstable();
             for &u in &closure {
                 for &(l, t) in &self.transitions[u] {
                     out.add_transition(s, l, t);
@@ -425,8 +455,8 @@ impl Nfa {
     /// constructed directly on NFA pairs (no determinization), visiting
     /// only reachable pairs.
     pub fn intersect(&self, other: &Nfa) -> Nfa {
-        let a = self.eliminate_epsilon();
-        let b = other.eliminate_epsilon();
+        let a = self.epsilon_free();
+        let b = other.epsilon_free();
         let mut out = Nfa::with_states(0);
         let mut index: std::collections::HashMap<(State, State), State> =
             std::collections::HashMap::new();
@@ -540,43 +570,82 @@ impl Nfa {
     /// Enumerate accepted words in shortlex order (shorter first; within a
     /// length, by `Letter` order), up to `max_len`, yielding at most `limit`
     /// words. Exact and duplicate-free.
+    ///
+    /// Each length is searched depth-first in letter order over state sets
+    /// restricted to the states that can still accept in exactly the
+    /// letters left, so every branch ends in a word: the work is bounded by
+    /// `limit · max_len · |letters|` subset steps, however many prefixes of
+    /// length ≤ `max_len` the language has.
     pub fn enumerate_words(&self, max_len: usize, limit: usize) -> Vec<Vec<Letter>> {
-        let clean = if self.has_epsilon() {
-            self.eliminate_epsilon()
-        } else {
-            self.clone()
-        };
+        let clean = self.epsilon_free();
         let letters: Vec<Letter> = clean.letters().into_iter().collect();
+        let n = clean.num_states();
+        // `ends[r][s]`: some run from `s` accepts after exactly `r` letters.
+        let mut ends: Vec<Vec<bool>> = vec![(0..n).map(|s| clean.is_final(s)).collect()];
+        // States reachable in exactly `len` letters; once empty, the
+        // language has no longer words.
+        let mut reach: BTreeSet<State> = clean.initial.clone();
         let mut out = Vec::new();
-        if limit == 0 {
-            return out;
-        }
-        // BFS over (state-set, word); state sets deduplicate words because
-        // the subset construction is deterministic.
-        let start: BTreeSet<State> = clean.epsilon_closure(clean.initial.iter().copied());
-        let mut queue: VecDeque<(BTreeSet<State>, Vec<Letter>)> = VecDeque::new();
-        queue.push_back((start, Vec::new()));
-        while let Some((states, word)) = queue.pop_front() {
-            if states.iter().any(|s| clean.finals.contains(s)) {
-                out.push(word.clone());
-                if out.len() >= limit {
-                    return out;
-                }
+        let mut word = Vec::new();
+        for len in 0..=max_len {
+            if out.len() >= limit || reach.is_empty() {
+                break;
             }
-            if word.len() >= max_len {
-                continue;
+            if len > 0 {
+                let prev = &ends[len - 1];
+                let row = (0..n)
+                    .map(|s| clean.transitions[s].iter().any(|&(_, t)| prev[t]))
+                    .collect();
+                ends.push(row);
+                reach = reach
+                    .iter()
+                    .flat_map(|&s| clean.transitions[s].iter().map(|&(_, t)| t))
+                    .collect();
             }
-            for &l in &letters {
-                let next = clean.step(&states, l);
-                if next.is_empty() {
-                    continue;
-                }
-                let mut w = word.clone();
-                w.push(l);
-                queue.push_back((next, w));
+            let start: BTreeSet<State> = clean
+                .initial
+                .iter()
+                .copied()
+                .filter(|&s| ends[len][s])
+                .collect();
+            if !start.is_empty() {
+                clean.extend_words(&letters, &ends, &start, len, &mut word, &mut out, limit);
             }
         }
         out
+    }
+
+    /// Append to `out`, in letter order, every word `word · x` with
+    /// `|x| = remaining` that `states` accepts, until `out` holds `limit`
+    /// words. Every state in `states` accepts some such `x`.
+    #[allow(clippy::too_many_arguments)]
+    fn extend_words(
+        &self,
+        letters: &[Letter],
+        ends: &[Vec<bool>],
+        states: &BTreeSet<State>,
+        remaining: usize,
+        word: &mut Vec<Letter>,
+        out: &mut Vec<Vec<Letter>>,
+        limit: usize,
+    ) {
+        if remaining == 0 {
+            out.push(word.clone());
+            return;
+        }
+        for &l in letters {
+            if out.len() >= limit {
+                return;
+            }
+            let mut next = self.step(states, l);
+            next.retain(|&t| ends[remaining - 1][t]);
+            if next.is_empty() {
+                continue;
+            }
+            word.push(l);
+            self.extend_words(letters, ends, &next, remaining - 1, word, out, limit);
+            word.pop();
+        }
     }
 
     /// Count distinct accepted words of each length `0..=max_len`.
@@ -586,11 +655,7 @@ impl Nfa {
     /// on all words up to that length.
     pub fn count_words_per_length(&self, max_len: usize) -> Vec<usize> {
         // Determinize lazily and do DP over DFA states per length.
-        let clean = if self.has_epsilon() {
-            self.eliminate_epsilon()
-        } else {
-            self.clone()
-        };
+        let clean = self.epsilon_free();
         let letters: Vec<Letter> = clean.letters().into_iter().collect();
         let start: BTreeSet<State> = clean.epsilon_closure(clean.initial.iter().copied());
         let mut states: Vec<BTreeSet<State>> = vec![start.clone()];
@@ -718,6 +783,43 @@ mod tests {
     }
 
     #[test]
+    fn eliminate_epsilon_is_the_closure_construction() {
+        // Each state takes the transitions and finality of its ε-closure,
+        // visited in ascending order: the same automaton, transition for
+        // transition, as building it from `epsilon_closure`.
+        use crate::random::{random_nfa, SplitMix64};
+        let mut cases: Vec<Nfa> = ["a(b|c)*", "(a|b)+c?", "(a* b*)* | ε", "((a|b-)* c)*"]
+            .iter()
+            .map(|s| nfa_of(s).0)
+            .collect();
+        for seed in 0..20 {
+            let mut rng = SplitMix64::new(seed);
+            let mut n = random_nfa(&mut rng, 2 + seed as usize % 6, 2, 0.3, 1.5);
+            for k in 0..n.num_states() {
+                n.add_epsilon(k, (k * 7 + seed as usize) % n.num_states());
+            }
+            cases.push(n);
+        }
+        for n in cases.into_iter().filter(Nfa::has_epsilon) {
+            let mut expect = Nfa::with_states(n.num_states());
+            for s in 0..n.num_states() {
+                for u in n.epsilon_closure([s]) {
+                    for &(l, t) in &n.transitions[u] {
+                        expect.add_transition(s, l, t);
+                    }
+                    if n.is_final(u) {
+                        expect.set_final(s);
+                    }
+                }
+            }
+            for s in n.initial_states() {
+                expect.set_initial(s);
+            }
+            assert_eq!(n.eliminate_epsilon(), expect);
+        }
+    }
+
+    #[test]
     fn eliminate_epsilon_preserves_language() {
         for s in ["a(b|c)*", "(a|b)+c?", "a*b*", "ε", "(a b)*(b a)*"] {
             let (n, _) = nfa_of(s);
@@ -762,6 +864,58 @@ mod tests {
     fn enumerate_respects_limit() {
         let (n, _) = nfa_of("a*");
         assert_eq!(n.enumerate_words(100, 5).len(), 5);
+    }
+
+    #[test]
+    fn enumerate_skips_prefixes_that_cannot_finish_in_time() {
+        // 8¹² prefixes of length ≤ 12, none of them accepted: a
+        // prefix-by-prefix search would never return.
+        let byte = "(a|b|c|d|e|f|g|h)";
+        let (n, _) = nfa_of(&byte.repeat(13));
+        assert!(n.enumerate_words(12, 16).is_empty());
+        // The accepted words still come out shortlex, after the prefixes
+        // of the long branch are skipped.
+        let (n, a) = nfa_of(&format!("{} | z (y|x)", byte.repeat(13)));
+        let words = n.enumerate_words(12, 16);
+        // Letters order by interning: `y` before `x`.
+        assert_eq!(words, vec![w(&a, "z.y"), w(&a, "z.x")]);
+        assert_eq!(n.enumerate_words(13, 3).len(), 3);
+    }
+
+    #[test]
+    fn enumerate_matches_brute_force_shortlex() {
+        use crate::random::{random_nfa, SplitMix64};
+        for seed in 0..40 {
+            let mut rng = SplitMix64::new(seed);
+            let mut n = random_nfa(&mut rng, 1 + seed as usize % 5, 2, 0.3, 1.5);
+            if seed % 3 == 0 {
+                n.add_epsilon(0, n.num_states() - 1);
+            }
+            let letters: Vec<Letter> = n.letters().into_iter().collect();
+            // Every word of length ≤ 4 over the automaton's letters, in
+            // shortlex order, filtered by membership.
+            let mut level = vec![Vec::new()];
+            let mut expect = Vec::new();
+            for len in 0..=4 {
+                expect.extend(level.iter().filter(|v| n.accepts(v)).cloned());
+                if len < 4 {
+                    level = level
+                        .iter()
+                        .flat_map(|v| {
+                            letters.iter().map(move |&l| {
+                                let mut v = v.clone();
+                                v.push(l);
+                                v
+                            })
+                        })
+                        .collect();
+                }
+            }
+            for limit in [0, 1, 3, 1000] {
+                let got = n.enumerate_words(4, limit);
+                assert_eq!(got, expect[..expect.len().min(limit)], "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -263,7 +263,7 @@ pub fn nfa_in_twonfa_governed(
     m: &TwoNfa,
     gov: &Governor,
 ) -> Result<ContainmentRun, Exhaustion> {
-    let a1 = a1.eliminate_epsilon();
+    let a1 = a1.epsilon_free();
     let mut det = ShepherdsonDfa::new_governed(m, gov)?;
     type Prod = (usize, usize);
     let mut pred: HashMap<Prod, (Prod, Letter)> = HashMap::new();

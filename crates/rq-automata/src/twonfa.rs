@@ -161,7 +161,7 @@ impl TwoNfa {
     /// Embed a one-way ε-free NFA as a 2NFA (used by tests to cross-check
     /// the two membership procedures).
     pub fn from_nfa(nfa: &Nfa) -> TwoNfa {
-        let nfa = nfa.eliminate_epsilon();
+        let nfa = nfa.epsilon_free();
         let mut m = TwoNfa::with_states(nfa.num_states());
         for s in 0..nfa.num_states() {
             for &(l, t) in nfa.transitions_from(s) {

@@ -8,8 +8,9 @@
 //! the machine serves in a fixed run length.
 //!
 //! Every timing column outside the closed-loop runs (E14, and E16's
-//! ingest part) comes from [`rq_bench::median`] or, for an A/B
-//! comparison, [`rq_bench::paired`]. Two experiments are gates, and
+//! ingest part) comes from [`rq_bench::median`], from
+//! [`rq_bench::interleaved`] for E13's µs-scale pre-flight rows, or, for
+//! an A/B comparison, from [`rq_bench::paired`]. Two experiments are gates, and
 //! `report` exits 1 when either fails: E11's aggregate governor overhead
 //! must stay under 5%, and E17's simple-heavy batch must make no
 //! `full_check` ladder call. A bad argument prints usage and exits 2.
@@ -41,6 +42,10 @@ use std::time::Duration;
 
 /// Timed passes per table cell ([`median`]).
 const PASSES: usize = 5;
+/// Interleaved rounds of E13's pre-flight rows ([`interleaved`]): its
+/// cells are µs-scale, so five passes of one row in a row let one slow
+/// stretch of the host move that row's median.
+const PREFLIGHT_ROUNDS: usize = 101;
 /// Interleaved rounds per A/B comparison ([`paired`]).
 const ROUNDS: usize = 30;
 /// Interleaved rounds per E11 row: its passes are ~1 ms, so it can afford
@@ -689,12 +694,19 @@ fn e13() -> Gate {
         .collect();
     cases.push(e13_empty_queries()[0].clone());
     cases.extend(pairs.iter().take(3).map(|(_, _, union)| union.clone()));
-    for q in &cases {
-        let (pre, t) = median(PASSES, || rq_analyze::preflight(q, &al, limits));
+    let mut runs: Vec<_> = cases
+        .iter()
+        .map(|q| {
+            let al = &al;
+            move || rq_analyze::preflight(q, al, limits)
+        })
+        .collect();
+    let times = interleaved(PREFLIGHT_ROUNDS, &mut runs);
+    for ((q, run), t) in cases.iter().zip(&mut runs).zip(times) {
         println!(
-            "| `{}` | {} | {t:.1} |",
+            "| `{}` | {} | {t:.2} |",
             q.regex().display(&al),
-            pre.action.name()
+            run().action.name()
         );
     }
     println!();
@@ -1013,18 +1025,19 @@ fn e16() -> Gate {
 }
 
 /// Ladder stage counters E17 reads, in column order.
-const STAGES: [&str; 6] = [
+const STAGES: [&str; 7] = [
     "empty_left",
     "syntactic_eq",
     "canonical_key",
     "simple",
+    "sample",
     "full_check",
     "exhausted",
 ];
 
 /// What one E17 batch added to the global (cumulative) metrics registry.
 struct Delta {
-    stages: [u64; 6],
+    stages: [u64; 7],
     probes: u64,
     fuel: u64,
 }
@@ -1057,10 +1070,10 @@ fn delta(before: &Snapshot, after: &Snapshot) -> Delta {
 /// probe is a pair of one-way queries the rung decides — gate: every pool
 /// entry is one-way and the exact 2NFA stage sees zero calls — and the
 /// E13 fold workload, whose probes into a query with an inverse letter
-/// reach the exact stage, and whose probe count must match E13's. "cache
-/// probes" counts cache-lookup probes; the stage columns count *every*
-/// ladder call, pre-flight subsumed-branch checks included, so they can
-/// exceed the probe count.
+/// meet the sample rung and then, unrefuted, the exact stage, and whose
+/// probe count must match E13's. "cache probes" counts cache-lookup
+/// probes; the stage columns count *every* ladder call, pre-flight
+/// subsumed-branch checks included, so they can exceed the probe count.
 fn e17() -> Gate {
     let engine = engine(e10_graph(100, 3), 2);
     let pool = e17_simple_batch(24);
@@ -1082,10 +1095,10 @@ fn e17() -> Gate {
 
     println!("## E17 — the Lemma 1 ladder rung: probe and fuel deltas per workload\n");
     println!(
-        "| workload | cache probes | ladder: simple | full_check | syntactic | exhausted | \
-         probe fuel | hit-rate | ms |"
+        "| workload | cache probes | ladder: simple | sample | full_check | syntactic | exhausted \
+         | probe fuel | hit-rate | ms |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|");
     let serve = |name: &str, batch: &[TwoRpq]| -> Delta {
         engine.clear_cache();
         let before = global().snapshot();
@@ -1096,12 +1109,13 @@ fn e17() -> Gate {
             engine.run_batch(batch)
         });
         println!(
-            "| {name} | {} | {} | {} | {} | {} | {} | {:.0}% | {:.1} |",
+            "| {name} | {} | {} | {} | {} | {} | {} | {} | {:.0}% | {:.1} |",
             d.probes,
             d.stages[3],
             d.stages[4],
-            d.stages[0] + d.stages[1] + d.stages[2],
             d.stages[5],
+            d.stages[0] + d.stages[1] + d.stages[2],
+            d.stages[6],
             d.fuel,
             stats.hit_rate() * 100.0,
             t / 1e3,
@@ -1116,15 +1130,16 @@ fn e17() -> Gate {
         simple.stages[3],
         simple.stages.iter().sum::<u64>(),
         simple.probes,
-        simple.stages[4],
+        simple.stages[5],
         simple.fuel
     );
     println!(
         "fold baseline: {} cache probes; {} ladder calls with a one-way right-hand side decided \
-         at the Lemma 1 rung, {} with an inverse letter on the right at the exact stage ({} fuel)\n",
-        fold.probes, fold.stages[3], fold.stages[4], fold.fuel
+         at the Lemma 1 rung; of those with an inverse letter on the right, {} refuted by a \
+         sampled word and {} decided at the exact stage ({} fuel)\n",
+        fold.probes, fold.stages[3], fold.stages[4], fold.stages[5], fold.fuel
     );
-    match simple.stages[4] {
+    match simple.stages[5] {
         0 => Ok(()),
         n => Err(format!(
             "E17 simple-heavy batch made {n} full_check ladder calls; pairs with a one-way \

@@ -15,5 +15,5 @@
 pub mod timing;
 pub mod workloads;
 
-pub use timing::{median, paired};
+pub use timing::{interleaved, median, paired};
 pub use workloads::*;

@@ -69,6 +69,22 @@ pub fn paired<A, B>(
     (mid(ta), mid(tb))
 }
 
+/// Median µs per iteration of each closure in `fs`, over `rounds` rounds
+/// that each time one pass of every closure in turn. Each median's passes
+/// then span the whole measurement instead of one stretch of it, so a
+/// neighbour that slows the host for a few hundred ms shifts every row a
+/// little rather than one row a lot.
+pub fn interleaved<T, F: FnMut() -> T>(rounds: usize, fs: &mut [F]) -> Vec<f64> {
+    let iters: Vec<u32> = fs.iter_mut().map(|f| calibrate(f)).collect();
+    let mut times = vec![Vec::with_capacity(rounds); fs.len()];
+    for _ in 0..rounds {
+        for ((f, &n), t) in fs.iter_mut().zip(&iters).zip(&mut times) {
+            t.push(pass(f, n));
+        }
+    }
+    times.into_iter().map(mid).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,5 +114,22 @@ mod tests {
             calls.into_inner(),
             "ab".to_owned() + "ab" + "ba" + "ab" + "ba"
         );
+    }
+
+    #[test]
+    fn interleaved_times_one_pass_of_each_closure_per_round() {
+        let calls = RefCell::new(String::new());
+        let side = |c| {
+            std::thread::sleep(Duration::from_millis(1));
+            calls.borrow_mut().push(c);
+        };
+        let mut fs: Vec<_> = ['a', 'b', 'c']
+            .into_iter()
+            .map(|c| move || side(c))
+            .collect();
+        let times = interleaved(2, &mut fs);
+        assert_eq!(times.len(), 3);
+        assert!(times.iter().all(|&t| t >= 1_000.0));
+        assert_eq!(calls.into_inner(), "abc".repeat(3));
     }
 }

@@ -27,18 +27,26 @@
 //! pre-flight build those artefacts once per query instead of once per
 //! pair: the cache key, the trimmed minimal DFA the key serializes (the
 //! ladder's Lemma 1 rung decides containment in a one-way query over it),
-//! and the automaton the engine evaluates the query over
-//! ([`CompiledQuery::automaton`]).
+//! the automaton the engine evaluates the query over
+//! ([`CompiledQuery::automaton`]), and — on first use — the few shortest
+//! words of its language that the ladder's sample rung tests
+//! ([`CompiledQuery::sample_words`]).
 
 use crate::rpq::TwoRpq;
 use rq_automata::dfa::DEAD;
 use rq_automata::governor::Governor;
 use rq_automata::{Alphabet, Dfa, Letter, Nfa};
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The canonical key of the empty-language query.
 pub const EMPTY_KEY: &str = "dfa:empty";
+
+/// At most this many words of `L(Q)` are kept for the sample rung.
+pub const SAMPLE_WORDS: usize = 16;
+
+/// The longest word, in letters, kept for the sample rung.
+pub const SAMPLE_WORD_LEN: usize = 12;
 
 /// A query and its containment and evaluation artefacts, built once by
 /// [`CompiledQuery::new`]. The fields stay private so the artefacts can
@@ -57,6 +65,9 @@ pub struct CompiledQuery {
     automaton: Arc<Nfa>,
     /// Whether `automaton` is the DFA.
     evaluates_dfa: bool,
+    /// The shortlex words of [`CompiledQuery::sample_words`], enumerated
+    /// on first use.
+    words: OnceLock<Vec<Vec<Letter>>>,
 }
 
 impl CompiledQuery {
@@ -94,6 +105,7 @@ impl CompiledQuery {
             dfa,
             automaton: Arc::new(automaton),
             evaluates_dfa,
+            words: OnceLock::new(),
         }
     }
 
@@ -113,6 +125,18 @@ impl CompiledQuery {
     /// the query's NFA ([`TwoRpq::nfa`]), otherwise that NFA.
     pub fn automaton(&self) -> &Arc<Nfa> {
         &self.automaton
+    }
+
+    /// The first [`SAMPLE_WORDS`] words of `L(Q)` in shortlex order, none
+    /// longer than [`SAMPLE_WORD_LEN`] letters (fewer when the language has
+    /// fewer). They are enumerated from [`CompiledQuery::automaton`] on the
+    /// first call and kept, so a query that is never the left-hand side of
+    /// a sample rung never pays for them.
+    pub fn sample_words(&self) -> &[Vec<Letter>] {
+        self.words.get_or_init(|| {
+            self.automaton
+                .enumerate_words(SAMPLE_WORD_LEN, SAMPLE_WORDS)
+        })
     }
 
     /// Which automaton [`CompiledQuery::automaton`] is: `"dfa"` or `"nfa"`.
@@ -286,5 +310,24 @@ mod tests {
         let compiled = compile(&empty, &al);
         assert_eq!(compiled.cache_key(), EMPTY_KEY);
         assert_eq!(compiled.automaton_kind(), "nfa");
+    }
+
+    #[test]
+    fn sample_words_are_the_capped_shortlex_prefix_of_the_language() {
+        let mut al = Alphabet::new();
+        let q = TwoRpq::parse("a b- | (a|b)+ c", &mut al).unwrap();
+        let compiled = compile(&q, &al);
+        let words = compiled.sample_words();
+        assert_eq!(
+            words,
+            q.nfa().enumerate_words(SAMPLE_WORD_LEN, SAMPLE_WORDS)
+        );
+        assert_eq!(words.len(), SAMPLE_WORDS);
+        assert!(words.iter().all(|w| q.nfa().accepts(w)));
+        // Kept: a second call returns the same stored words.
+        assert!(std::ptr::eq(words, compiled.sample_words()));
+        // No word of a long chain fits under the length cap.
+        let long = TwoRpq::parse(&"(a|b) ".repeat(SAMPLE_WORD_LEN + 1), &mut al).unwrap();
+        assert!(compile(&long, &al).sample_words().is_empty());
     }
 }

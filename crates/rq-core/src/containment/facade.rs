@@ -17,12 +17,20 @@
 //!    `L(Q1) ⊆ L(Q2)`, decided by [`super::rpq`]'s search over `Q2`'s
 //!    stored minimal DFA (unmetered), or over `Q2`'s NFA (metered) when
 //!    its key budget ran out — exact in both directions;
-//! 5. the exact fold-based checker, metered, when `Q2` reads an inverse
-//!    letter.
+//! 5. sampled words, when `Q2` reads an inverse letter (span and stage
+//!    `sample`): by Lemma 2 one word `u ∈ L(Q1)` outside `fold(L(Q2))`
+//!    refutes `Q1 ⊑ Q2`, and `u`'s semipath database is the witness. The
+//!    rung tests `Q1`'s stored shortlex words
+//!    ([`CompiledQuery::sample_words`]) against `Q2`'s compiled automaton
+//!    with the polynomial [`fold_membership`] (unmetered: the stored
+//!    artefacts bound its work). It only refutes; when every word folds,
+//!    the ladder escalates;
+//! 6. the exact fold-based checker, metered, for the pairs the sample
+//!    rung could not refute.
 //!
 //! The ladder runs on [`CompiledQuery`] pairs and never compiles: the
-//! keys and minimal DFAs it compares were built once per query, not once
-//! per check. Every rung runs under the caller's [`Limits`]; a
+//! keys, minimal DFAs and sample words it reads were built once per
+//! query, not once per check. Every rung runs under the caller's [`Limits`]; a
 //! budget tripped anywhere surfaces as [`Outcome::Unknown`], which cache
 //! callers treat as "no subsumption found" — the cache degrades to
 //! exact-match instead of stalling the request.
@@ -30,6 +38,7 @@
 use super::{rpq, two_rpq, Certificate, Outcome};
 use crate::canonical::CompiledQuery;
 use crate::rpq::TwoRpq;
+use rq_automata::fold::fold_membership;
 use rq_automata::governor::{Governor, Limits};
 use rq_automata::Alphabet;
 use rq_metrics::span;
@@ -47,9 +56,10 @@ pub fn check_quick(q1: &TwoRpq, q2: &TwoRpq, alphabet: &Alphabet, limits: &Limit
 /// [`check_quick`] on compiled queries against a caller-owned governor,
 /// so callers (the semantic cache) can read back how much budget the
 /// probe actually spent from [`Governor::counters`]. The rungs read the
-/// compiled artefacts and build none; only a search over an NFA (the
-/// Lemma 1 rung for a `Q2` without a stored DFA, and the exact stage) is
-/// metered by `gov`. Each rung records which stage of
+/// compiled artefacts and build none (the sample words are enumerated
+/// once per query, on its first use as `Q1`); only a search over an NFA
+/// (the Lemma 1 rung for a `Q2` without a stored DFA, and the exact
+/// stage) is metered by `gov`. Each rung records which stage of
 /// the ladder decided the check in the `rq_containment_ladder_total`
 /// metric, and opens a trace span (`ladder.*`, see ALGORITHMS.md)
 /// annotated with the rung's verdict — `contained` / `not_contained` /
@@ -114,6 +124,23 @@ pub fn check_quick_governed(
         }
         s.record("verdict", "pass");
     }
+    {
+        // The sample rung: `Q2` reads an inverse letter. A stored word of
+        // `Q1` that no word of `L(Q2)` folds onto refutes containment. The
+        // fold depends only on the language, so `Q2`'s compiled automaton
+        // — its minimal DFA when it has one — serves as well as its NFA.
+        let mut s = span::start("ladder.sample");
+        let a2 = c2.automaton();
+        let words = c1.sample_words();
+        if let Some(i) = words.iter().position(|u| !fold_membership(a2, u)) {
+            s.record("words", i + 1);
+            s.record("verdict", "not_contained");
+            metrics::ladder_stage(metrics::Stage::Sample);
+            return two_rpq::outside_fold(&words[i], alphabet);
+        }
+        s.record("words", words.len());
+        s.record("verdict", "pass");
+    }
     let mut s = span::start("ladder.full_check");
     let fuel_before = gov.fuel_spent();
     let result = two_rpq::check_governed(c1.query(), c2.query(), alphabet, gov);
@@ -146,8 +173,8 @@ fn verdict(outcome: &Outcome) -> &'static str {
 /// Which rung of the cheap-first ladder settled each `check_quick` call:
 /// the language-level fast paths (`empty_left`, `syntactic_eq`,
 /// `canonical_key`), the Lemma 1 rung for one-way right-hand sides
-/// (`simple`), the full fold/2NFA pipeline (`full_check`), or a tripped
-/// budget (`exhausted`).
+/// (`simple`), a refuting sample word (`sample`), the full fold/2NFA
+/// pipeline (`full_check`), or a tripped budget (`exhausted`).
 mod metrics {
     use rq_metrics::{global, Counter};
     use std::sync::{Arc, OnceLock};
@@ -158,18 +185,20 @@ mod metrics {
         SyntacticEq = 1,
         CanonicalKey = 2,
         Simple = 3,
-        FullCheck = 4,
-        Exhausted = 5,
+        Sample = 4,
+        FullCheck = 5,
+        Exhausted = 6,
     }
 
     pub(super) fn ladder_stage(stage: Stage) {
-        static CELLS: OnceLock<[Arc<Counter>; 6]> = OnceLock::new();
+        static CELLS: OnceLock<[Arc<Counter>; 7]> = OnceLock::new();
         let cells = CELLS.get_or_init(|| {
             [
                 "empty_left",
                 "syntactic_eq",
                 "canonical_key",
                 "simple",
+                "sample",
                 "full_check",
                 "exhausted",
             ]
@@ -385,6 +414,104 @@ mod tests {
         let w = out.witness().expect("a* ⋢ a a");
         assert!(star.contains_pair(&w.db, w.tuple[0], w.tuple[1]));
         assert!(!q.contains_pair(&w.db, w.tuple[0], w.tuple[1]));
+    }
+
+    /// The spans `check_quick(q1, q2)` opens, and its outcome.
+    fn traced(q1: &TwoRpq, q2: &TwoRpq, al: &Alphabet) -> (Outcome, Vec<span::SpanRecord>) {
+        let ctx = span::TraceContext::start();
+        let out = {
+            let _g = span::install(&ctx, 0);
+            check_quick(q1, q2, al, &Limits::unlimited())
+        };
+        (out, ctx.finish("ok", "").spans)
+    }
+
+    fn field(spans: &[span::SpanRecord], name: &str, key: &str) -> Option<String> {
+        spans
+            .iter()
+            .find(|s| s.name == name)?
+            .fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    }
+
+    #[test]
+    fn sample_rung_refutes_cold_chains_before_the_exact_stage() {
+        // Two chains of the cold-eval shape: distinct, incomparable, and
+        // the right-hand one reads inverse letters.
+        let mut al = Alphabet::new();
+        let q1 = TwoRpq::parse("a (a|b) (b|a-) (a|b) b", &mut al).unwrap();
+        let q2 = TwoRpq::parse("b- (a|b) (a|b) (b|a-) a-", &mut al).unwrap();
+        let (out, spans) = traced(&q1, &q2, &al);
+        assert!(out.is_not_contained(), "{out}");
+        assert_eq!(
+            field(&spans, "ladder.sample", "verdict").as_deref(),
+            Some("not_contained")
+        );
+        assert_eq!(
+            field(&spans, "ladder.sample", "words").as_deref(),
+            Some("1")
+        );
+        assert!(
+            !spans.iter().any(|s| s.name == "ladder.full_check"),
+            "refuted by a sampled word — the exact checker never ran"
+        );
+        let w = out.witness().expect("a refutation carries a witness");
+        assert!(w.description.contains("fold(L(Q2))"), "{}", w.description);
+        assert!(q1.contains_pair(&w.db, w.tuple[0], w.tuple[1]));
+        assert!(!q2.contains_pair(&w.db, w.tuple[0], w.tuple[1]));
+    }
+
+    #[test]
+    fn sample_rung_passes_contained_pairs_to_the_exact_stage() {
+        let mut al = Alphabet::new();
+        let p = TwoRpq::parse("p", &mut al).unwrap();
+        let zigzag = TwoRpq::parse("p p- p", &mut al).unwrap();
+        let (out, spans) = traced(&p, &zigzag, &al);
+        assert!(out.is_contained(), "{out}");
+        // `p`, the one word of `L(p)`, folds from `p p⁻ p`.
+        assert_eq!(
+            field(&spans, "ladder.sample", "verdict").as_deref(),
+            Some("pass")
+        );
+        assert_eq!(
+            field(&spans, "ladder.sample", "words").as_deref(),
+            Some("1")
+        );
+        assert_eq!(
+            field(&spans, "ladder.full_check", "verdict").as_deref(),
+            Some("contained")
+        );
+    }
+
+    #[test]
+    fn sample_rung_spends_no_probe_fuel() {
+        let mut al = Alphabet::new();
+        let q1 = TwoRpq::parse("a b (a|b)*", &mut al).unwrap();
+        let q2 = TwoRpq::parse("a a- a b", &mut al).unwrap();
+        let compile = |q: &TwoRpq| CompiledQuery::new(q, &al, &Governor::unlimited());
+        let (c1, c2) = (compile(&q1), compile(&q2));
+        // `a b` folds from `a a⁻ a b`, but `a b a` does not.
+        assert!(fold_membership(c2.automaton(), &c1.sample_words()[0]));
+        let gov = Limits::unlimited().with_fuel(1).governor();
+        let out = check_quick_governed(&c1, &c2, &al, &gov);
+        assert!(out.is_not_contained(), "{out}");
+        assert_eq!(gov.fuel_spent(), 0);
+    }
+
+    #[test]
+    fn one_way_right_sides_never_open_the_sample_rung() {
+        let mut al = Alphabet::new();
+        for (s1, s2) in [("a b- a", "(a|b)*"), ("a b", "a (b|c)"), ("a a", "a")] {
+            let q1 = TwoRpq::parse(s1, &mut al).unwrap();
+            let q2 = TwoRpq::parse(s2, &mut al).unwrap();
+            let (_, spans) = traced(&q1, &q2, &al);
+            assert!(
+                !spans.iter().any(|s| s.name == "ladder.sample"),
+                "{s1} ⊑ {s2}: one-way Q2 is decided by the Lemma 1 rung"
+            );
+        }
     }
 
     #[test]

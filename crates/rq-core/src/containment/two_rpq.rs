@@ -63,16 +63,23 @@ pub fn check_governed(
             gov,
         ));
     };
-    let (db, s, t) = semipath_db(&word, alphabet);
+    Ok(outside_fold(&word, alphabet))
+}
+
+/// The refutation a word `w ∈ L(Q1) − fold(L(Q2))` yields (Lemma 2): on
+/// `w`'s semipath database `Q1` holds between its endpoints and `Q2`
+/// does not.
+pub(super) fn outside_fold(word: &[Letter], alphabet: &Alphabet) -> Outcome {
+    let (db, s, t) = semipath_db(word, alphabet);
     let description = format!(
         "semipath database of the word {} (in L(Q1) − fold(L(Q2)))",
-        alphabet.word_to_string(&word)
+        alphabet.word_to_string(word)
     );
-    Ok(Outcome::NotContained(Box::new(Witness {
+    Outcome::NotContained(Box::new(Witness {
         db,
         tuple: vec![s, t],
         description,
-    })))
+    }))
 }
 
 #[cfg(test)]

@@ -41,12 +41,12 @@ pub fn parse(input: &str) -> Result<GraphDb, TextError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        match parts.as_slice() {
-            ["node", name] => {
+        let mut parts = line.split_whitespace();
+        match (parts.next(), parts.next(), parts.next(), parts.next()) {
+            (Some("node"), Some(name), None, _) => {
                 db.node(name);
             }
-            [src, label, dst] => {
+            (Some(src), Some(label), Some(dst), None) => {
                 let s = db.node(src);
                 let l = db.label(label);
                 let d = db.node(dst);
@@ -107,6 +107,30 @@ mod tests {
         assert_eq!(err.line, 1);
         let err = parse("ok r b\nx y z w\n").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn parse_errors_are_pinned() {
+        // Tabs separate fields, comment lines (even indented) are skipped,
+        // and line numbers count every line, skipped or not.
+        let db = parse("a\tknows\tb\n  # indented comment\n\t\nnode\tc\n").unwrap();
+        assert_eq!((db.num_nodes(), db.num_edges()), (3, 1));
+        let err = parse("# header\na knows b\n\na knows b c\n").unwrap_err();
+        assert_eq!(err.line, 4);
+        assert_eq!(
+            err.to_string(),
+            "graph text error on line 4: expected `src label dst` or `node name`, got \"a knows b c\""
+        );
+        let err = parse("a knows b\n\tx  y \n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(
+            err.message,
+            "expected `src label dst` or `node name`, got \"x  y\""
+        );
+        // `node` is a keyword only in a two-field line.
+        let db = parse("node knows b\n").unwrap();
+        assert_eq!((db.num_nodes(), db.num_edges()), (2, 1));
+        assert_eq!(parse("node\n").unwrap_err().line, 1);
     }
 
     #[test]

@@ -301,3 +301,22 @@ fn rq_commands() {
     assert!(stdout.contains("Q1 ⊑ Q2: contained"), "{stdout}");
     assert!(stdout.contains("Q2 ⊑ Q1: not contained"), "{stdout}");
 }
+
+#[test]
+fn explain_shows_the_sample_rung_refuting_a_probe() {
+    // The cached `knows-` reads an inverse letter, so the probe skips the
+    // Lemma 1 rung; `knows knows`, its first sampled word, is outside
+    // fold(L(knows-)), and the exact stage never runs.
+    let (stdout, _, ok) = rqtool(&[
+        "explain",
+        &data("social.graph"),
+        "knows knows",
+        "--warm=knows-",
+    ]);
+    assert!(ok);
+    assert!(
+        stdout.contains("ladder.sample") && stdout.contains("words=1 verdict=not_contained"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("ladder.full_check"), "{stdout}");
+}

@@ -182,9 +182,9 @@ fn lint_json_report_is_byte_exact() {
         String::from_utf8_lossy(&out.stdout),
         concat!(
             r#"[{"path":"<query>","diagnostics":["#,
-            r#"{"rule":"RQA007","slug":"inverse-letter","severity":"info","message":"query reads the inverse letter `b-`: containment probes into it reach the exact fold/2NFA stage","#,
+            r#"{"rule":"RQA007","slug":"inverse-letter","severity":"info","message":"query reads the inverse letter `b-`: containment probes into it meet the sample rung first, and only unrefuted ones reach the exact fold/2NFA stage","#,
             r#""span":{"line":1,"column":3},"#,
-            r#""notes":["Q1 ⊑ Q iff L(Q1) ⊆ fold(L(Q)) (Lemma 2), decided over the Lemma 3 fold 2NFA"]}]}]"#,
+            r#""notes":["Q1 ⊑ Q iff L(Q1) ⊆ fold(L(Q)) (Lemma 2): a short word of L(Q1) outside fold(L(Q)) refutes it in polynomial time, otherwise it is decided over the Lemma 3 fold 2NFA"]}]}]"#,
             "\n",
         )
     );
